@@ -269,26 +269,10 @@ impl BenchRun {
     /// runs whose *node* counters are legitimately scheduling-dependent
     /// (parallel incumbent sharing) and must stay out of the counter gate.
     pub fn record_windows(&mut self, prefix: &str, ex: &Exploration) {
-        let mut feasible = 0u64;
-        let mut infeasible = 0u64;
-        let mut limit = 0u64;
-        for r in &ex.records {
-            match r.result {
-                IterationResult::Feasible { .. } => feasible += 1,
-                IterationResult::Infeasible => infeasible += 1,
-                IterationResult::LimitReached => limit += 1,
-            }
-        }
-        self.counter(format!("{prefix}solves"), ex.records.len() as u64);
-        self.counter(format!("{prefix}feasible_windows"), feasible);
-        self.counter(format!("{prefix}infeasible_windows"), infeasible);
-        self.counter(format!("{prefix}limit_windows"), limit);
-        if let Some(latency) = ex.best_latency {
-            self.metric(format!("{prefix}best_latency_ns"), latency.as_ns());
-        }
+        self.record_windows_tagged(prefix, ex, "");
     }
 
-    fn record_exploration_tagged(&mut self, prefix: &str, ex: &Exploration, tag: &str) {
+    fn record_windows_tagged(&mut self, prefix: &str, ex: &Exploration, tag: &str) {
         let mut feasible = 0u64;
         let mut infeasible = 0u64;
         let mut limit = 0u64;
@@ -306,6 +290,10 @@ impl BenchRun {
         if let Some(latency) = ex.best_latency {
             self.metric(format!("{prefix}best_latency_ns{tag}"), latency.as_ns());
         }
+    }
+
+    fn record_exploration_tagged(&mut self, prefix: &str, ex: &Exploration, tag: &str) {
+        self.record_windows_tagged(prefix, ex, tag);
         let st = ex.structured_totals();
         if st.nodes > 0 {
             self.counter(format!("{prefix}structured.nodes{tag}"), st.nodes);

@@ -46,6 +46,7 @@ use crate::validate::validate_solution;
 use rtr_graph::TaskGraph;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -397,13 +398,20 @@ impl CheckpointSink {
 /// directory fsync closes that window. Used for `--checkpoint` files and
 /// the `rtrd` solve cache.
 ///
+/// The temp name (`<stem>.<pid>.<n>.tmp`) is unique to the process and the
+/// write, so concurrent writers of one `path` never share a temp file: each
+/// rename lands whole, and the last one wins. A crash can leave a stray
+/// `*.tmp` behind; `rtrd`'s startup scan deletes them.
+///
 /// # Errors
 ///
 /// Any I/O error from the write, syncs, or rename; the temp file is
 /// removed on a best-effort basis when a step fails.
 pub fn atomic_durable_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let write = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("{}.{write}.tmp", std::process::id()));
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
@@ -782,5 +790,40 @@ mod tests {
             assert!(parse_json(bad).is_err(), "accepted {bad:?}");
         }
         assert!(parse_json("[1, [2, [3]]] ").is_ok());
+    }
+
+    #[test]
+    fn concurrent_writes_to_one_path_all_succeed() {
+        let dir = std::env::temp_dir().join(format!("rtr_ckpt_concurrent_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("job.ckpt");
+        // Every round releases all writers at once, so their writes overlap.
+        // Writers count their failures instead of panicking, which would
+        // leave the others waiting at the barrier.
+        let barrier = std::sync::Barrier::new(8);
+        let failures: usize = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..8u8)
+                .map(|writer| {
+                    let (path, barrier) = (&path, &barrier);
+                    scope.spawn(move || {
+                        (0..25u8)
+                            .filter(|&round| {
+                                barrier.wait();
+                                atomic_durable_write(path, &[writer, round]).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(failures, 0, "concurrent writes to one path failed");
+        // The last rename wins whole, and no temp file is left behind.
+        assert_eq!(std::fs::read(&path).unwrap().len(), 2);
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["job.ckpt"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -45,27 +45,18 @@ pub fn default_thread_count() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// What happened to one phase-2 candidate bound in
-/// [`TemporalPartitioner::explore_parallel`].
-enum CandidateSlot {
-    /// No worker reached this bound (the time budget expired first, or a
-    /// smaller bound was already proven dominated). The merge stops here,
-    /// exactly where the sequential loop would have stopped.
-    NotRun,
-    /// The shared-incumbent skip rule fired: `MinLatency(N)` is at least the
-    /// prefix bound `min(pivot, achieved latencies of smaller candidates)`,
-    /// so the sequential loop provably breaks at or before this bound.
-    Dominated,
-    /// The bound was evaluated; its record stream, captured trace events,
-    /// and degradation account are replayed by the merge in ascending-`N`
-    /// order.
-    Done {
-        records: Vec<IterationRecord>,
-        found: Option<(Solution, Latency)>,
-        events: Vec<rtr_trace::Event>,
-        error: Option<PartitionError>,
-        degradation: Degradation,
-    },
+/// One evaluated phase-2 candidate bound of `Refine_Partitions_Bound`: its
+/// record stream, captured trace events (none when evaluated inline), and
+/// degradation account, replayed by the merge in ascending-`N` order. A
+/// bound nobody evaluated — the time budget expired first, or a smaller
+/// bound already dominated it — has no run, and the merge stops there,
+/// exactly where the paper's loop stops.
+struct CandidateRun {
+    records: Vec<IterationRecord>,
+    found: Option<(Solution, Latency)>,
+    events: Vec<rtr_trace::Event>,
+    error: Option<PartitionError>,
+    degradation: Degradation,
 }
 
 /// One piece of the search the resilience layer abandoned after its panic
@@ -242,8 +233,9 @@ pub struct ExploreParams {
     /// search, `0` resolves via `RTR_THREADS` / available parallelism.
     /// Results are bit-identical at any value (limit-fired solves are
     /// best-effort, as on the sequential path), so this composes freely
-    /// with [`TemporalPartitioner::explore_parallel`] — though nesting both
-    /// multiplies thread counts.
+    /// with [`TemporalPartitioner::explore_parallel`]. Nesting the two
+    /// never multiplies thread counts: window subtree jobs join the
+    /// exploration's work-stealing pool instead of starting their own.
     pub solver_threads: usize,
     /// Dominance-memoization table bound for the structured backend
     /// (`0` disables; [`crate::structured::DEFAULT_MEMO_LIMIT`] by
@@ -1004,9 +996,8 @@ impl<'g> TemporalPartitioner<'g> {
     /// there, if any.
     ///
     /// This phase is inherently sequential — bound `n + 1` is tried only
-    /// because bound `n` failed — so both [`explore`](Self::explore) and
-    /// [`explore_parallel`](Self::explore_parallel) run it on the calling
-    /// thread.
+    /// because bound `n` failed — so it runs on the calling thread at every
+    /// thread count.
     #[allow(clippy::too_many_arguments)]
     fn first_feasible(
         &self,
@@ -1044,36 +1035,42 @@ impl<'g> TemporalPartitioner<'g> {
     }
 
     /// Evaluates one phase-2 candidate bound with candidate-level panic
-    /// isolation (the `explore.candidate` site). Used verbatim by both the
-    /// sequential relaxation loop and the parallel workers, so a degraded
-    /// run reports the same [`Degradation`] at every thread count.
-    #[allow(clippy::too_many_arguments)]
-    fn run_candidate_isolated(
+    /// isolation (the `explore.candidate` site). Shared by the inline and the
+    /// pooled phase 2, so a degraded run reports the same [`Degradation`] at
+    /// every thread count.
+    fn run_candidate(
         &self,
         n: u32,
         pivot: Latency,
         d_min: Latency,
-        records: &mut Vec<IterationRecord>,
         observer: &mut dyn FnMut(&IterationRecord),
         ctx: RunCtx<'_>,
-        degradation: &mut Degradation,
-    ) -> Result<Option<(Solution, Latency)>, PartitionError> {
+    ) -> CandidateRun {
+        let mut records = Vec::new();
+        let mut degradation = Degradation::default();
         let mut attempt = 0u32;
-        loop {
-            let kept = records.len();
+        let result = loop {
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 rtr_trace::failpoint::panic_if(
                     "explore.candidate",
                     (u64::from(n) << 8) | u64::from(attempt & 0xff),
                 );
-                self.reduce_latency_ctx(n, pivot, d_min, records, observer, ctx, degradation)
+                self.reduce_latency_ctx(
+                    n,
+                    pivot,
+                    d_min,
+                    &mut records,
+                    observer,
+                    ctx,
+                    &mut degradation,
+                )
             }));
             match caught {
-                Ok(result) => return result,
+                Ok(result) => break result,
                 Err(_) => {
                     // Drop the aborted attempt's partial rows; the retry
                     // regenerates them from iteration 1.
-                    records.truncate(kept);
+                    records.clear();
                     degradation.panics_caught += 1;
                     if attempt >= PANIC_RETRY_LIMIT {
                         degradation.subtrees_lost += 1;
@@ -1082,13 +1079,18 @@ impl<'g> TemporalPartitioner<'g> {
                             n,
                             iteration: 0,
                         });
-                        return Ok(None);
+                        break Ok(None);
                     }
                     attempt += 1;
                     degradation.jobs_retried += 1;
                 }
             }
-        }
+        };
+        let (found, error) = match result {
+            Ok(found) => (found, None),
+            Err(error) => (None, Some(error)),
+        };
+        CandidateRun { records, found, events: Vec::new(), error, degradation }
     }
 
     /// The paper's `Refine_Partitions_Bound()` (Figure 2): explores
@@ -1103,7 +1105,7 @@ impl<'g> TemporalPartitioner<'g> {
     ///
     /// Propagates backend failures.
     pub fn explore(&self) -> Result<Exploration, PartitionError> {
-        self.explore_with_observer(|_| {})
+        self.explore_ctx(1, &mut |_| {}, RunCtx::default())
     }
 
     /// [`explore`](Self::explore) with a progress observer: `observer` is
@@ -1128,17 +1130,51 @@ impl<'g> TemporalPartitioner<'g> {
         &self,
         mut observer: F,
     ) -> Result<Exploration, PartitionError> {
-        self.explore_sequential_ctx(&mut observer, RunCtx::default())
+        self.explore_ctx(1, &mut observer, RunCtx::default())
     }
 
-    fn explore_sequential_ctx(
+    /// The one loop behind every `explore*` entry point. `threads == 0`
+    /// resolves via [`default_thread_count`]. Above one thread the loop runs
+    /// inside a work-stealing pool shared by the phase-2 candidate bounds
+    /// and any nested window subtree batches (`Pool::with` reuses an ambient
+    /// pool when the caller is already inside one), so a stalled window's
+    /// jobs get stolen by idle workers instead of idling a statically split
+    /// sub-pool.
+    fn explore_ctx(
         &self,
+        threads: usize,
+        observer: &mut dyn FnMut(&IterationRecord),
+        ctx: RunCtx<'_>,
+    ) -> Result<Exploration, PartitionError> {
+        match if threads == 0 { default_thread_count() } else { threads } {
+            1 => self.refine_partitions_bound(None, observer, ctx),
+            threads => rtr_sched::Pool::with(threads, |pool| {
+                self.refine_partitions_bound(Some(pool), observer, ctx)
+            }),
+        }
+    }
+
+    /// `Refine_Partitions_Bound()` proper. Phase 1 climbs to the first
+    /// feasible bound on the calling thread. Phase 2 merges the relaxed
+    /// candidate bounds in ascending-`N` order. Without a pool, the merge
+    /// evaluates each candidate inline, on demand, so the observer and the
+    /// trace see every window live. With a pool,
+    /// [`run_candidates`](Self::run_candidates) evaluates them as one batch
+    /// first, and the merge replays their records (to the observer too) and
+    /// captured trace events. Either way the merge alone decides the early
+    /// exit, the error to return, and the degradation account.
+    fn refine_partitions_bound(
+        &self,
+        pool: Option<&rtr_sched::Pool>,
         observer: &mut dyn FnMut(&IterationRecord),
         ctx: RunCtx<'_>,
     ) -> Result<Exploration, PartitionError> {
         let mut span = rtr_trace::span("search.explore")
             .with("backend", self.params.backend.to_string())
             .with("tasks", self.graph.tasks().len());
+        if let Some(pool) = pool {
+            span.add("threads", pool.threads());
+        }
         let n_min_lower = min_area_partitions(self.graph, self.arch);
         let n_min_upper = max_area_partitions(self.graph, self.arch);
         let n_cap = n_min_upper.max(n_min_lower).saturating_add(self.params.gamma);
@@ -1149,7 +1185,7 @@ impl<'g> TemporalPartitioner<'g> {
         let n_start = (n_min_lower.saturating_add(self.params.alpha)).min(n_cap);
 
         // Phase 1: find the first feasible partition bound.
-        let (mut n, mut best) = self.first_feasible(
+        let (n1, mut best) = self.first_feasible(
             n_start,
             n_cap,
             started,
@@ -1162,24 +1198,49 @@ impl<'g> TemporalPartitioner<'g> {
         // Phase 2: relax N looking for better solutions, each bound
         // refining against the phase-1 incumbent.
         if let Some(pivot) = best.as_ref().map(|(_, latency)| *latency) {
+            let candidates: Vec<u32> = (n1 + 1..=n_cap).collect();
+            let mut pooled = pool.map(|pool| {
+                let (runs, sched_report) =
+                    self.run_candidates(&candidates, pivot, pool, started, ctx);
+                // Scheduler-level isolation totals are batch facts (a pure
+                // function of the job list under seeded faults), absorbed
+                // here unconditionally so they are never dropped by a merge
+                // break; the per-candidate lost entries ride inside the runs.
+                degradation.absorb(Degradation {
+                    panics_caught: sched_report.panics_caught,
+                    jobs_retried: sched_report.jobs_retried,
+                    ..Degradation::default()
+                });
+                runs.into_iter()
+            });
             let mut best_latency = pivot;
-            while n < n_cap && !self.expired(started) {
-                n += 1;
+            for &n in &candidates {
                 let d_min = min_latency(self.graph, self.arch, n);
                 if d_min >= best_latency {
                     // MinLatency(N) already exceeds the achieved latency:
-                    // relaxation cannot help (paper's early exit).
+                    // relaxation cannot help (paper's early exit). Pooled
+                    // runs past this bound are discarded unseen.
                     break;
                 }
-                if let Some((sol, latency)) = self.run_candidate_isolated(
-                    n,
-                    pivot,
-                    d_min,
-                    &mut records,
-                    observer,
-                    ctx,
-                    &mut degradation,
-                )? {
+                let run = match &mut pooled {
+                    Some(runs) => runs.next().flatten(),
+                    None if self.expired(started) => None,
+                    None => Some(self.run_candidate(n, pivot, d_min, observer, ctx)),
+                };
+                // The time budget expired before anyone reached this bound.
+                let Some(run) = run else { break };
+                rtr_trace::dispatch_all(run.events);
+                if pooled.is_some() {
+                    for record in &run.records {
+                        observer(record);
+                    }
+                }
+                records.extend(run.records);
+                degradation.absorb(run.degradation);
+                if let Some(error) = run.error {
+                    return Err(error);
+                }
+                if let Some((sol, latency)) = run.found {
                     if latency < best_latency {
                         best_latency = latency;
                         best = Some((sol, latency));
@@ -1264,7 +1325,7 @@ impl<'g> TemporalPartitioner<'g> {
              gamma={}|backend={}|strategy={}|node_limit={}|time_limit={:?}|memo_limit={}|\
              model={:?}|milp_goal={:?}|milp_nodes={}|milp_pivots={}|milp_time={:?}|\
              milp_int_tol={}|milp_lp_tol={}|milp_lp_iters={}|milp_round={}|milp_presolve={}|\
-             milp_warm={}|milp_pricing={:?}|milp_cuts={}|milp_pseudo={}",
+             milp_warm={}|milp_cuts={}|milp_pseudo={}",
             self.graph.to_text(),
             self.arch.resource_capacity().units(),
             self.arch.memory_capacity(),
@@ -1290,7 +1351,6 @@ impl<'g> TemporalPartitioner<'g> {
             m.rounding_heuristic,
             m.presolve,
             m.warm_start,
-            m.pricing,
             m.cuts,
             m.pseudo_cost_branching,
         );
@@ -1308,8 +1368,8 @@ impl<'g> TemporalPartitioner<'g> {
     /// validated against the feasibility checker first — instead of being
     /// solved again; because the exploration is deterministic, the resumed
     /// run's records, best solution, and [`Exploration::to_csv`] output are
-    /// byte-identical to an uninterrupted run. `observer` is honored on the
-    /// sequential path (`threads <= 1`) only.
+    /// byte-identical to an uninterrupted run. `observer` sees every record,
+    /// in order, at every thread count.
     ///
     /// # Errors
     ///
@@ -1342,12 +1402,7 @@ impl<'g> TemporalPartitioner<'g> {
         };
         let sink = policy.map(|p| CheckpointSink::new(p.clone(), fingerprint));
         let ctx = RunCtx { resume: cache.as_ref(), sink: sink.as_ref() };
-        let threads = if threads == 0 { default_thread_count() } else { threads };
-        let mut exploration = if threads <= 1 {
-            self.explore_sequential_ctx(&mut observer, ctx)
-        } else {
-            self.explore_parallel_ctx(threads, ctx)
-        }?;
+        let mut exploration = self.explore_ctx(threads, &mut observer, ctx)?;
         if let Some(sink) = &sink {
             sink.flush();
             exploration.degradation.checkpoint_failures = sink.failures();
@@ -1356,12 +1411,12 @@ impl<'g> TemporalPartitioner<'g> {
     }
 
     /// [`explore`](Self::explore) with the phase-2 candidate bounds
-    /// evaluated concurrently on `threads` scoped worker threads.
+    /// evaluated concurrently on a `threads`-participant work-stealing pool
+    /// ([`rtr_sched::Pool`]).
     ///
     /// `threads == 0` resolves via [`default_thread_count`] (the
     /// `RTR_THREADS` environment variable, else the machine's available
-    /// parallelism); `threads <= 1` delegates to the sequential
-    /// [`explore`](Self::explore).
+    /// parallelism); `threads == 1` is [`explore`](Self::explore).
     ///
     /// Workers share an atomic incumbent latency: a candidate whose
     /// `MinLatency(N)` already exceeds the incumbent is checked against the
@@ -1388,142 +1443,12 @@ impl<'g> TemporalPartitioner<'g> {
     /// of the smallest undominated bound is returned (matching what the
     /// sequential loop would have hit first).
     pub fn explore_parallel(&self, threads: usize) -> Result<Exploration, PartitionError> {
-        let threads = if threads == 0 { default_thread_count() } else { threads };
-        if threads <= 1 {
-            return self.explore();
-        }
-        self.explore_parallel_ctx(threads, RunCtx::default())
-    }
-
-    fn explore_parallel_ctx(
-        &self,
-        threads: usize,
-        ctx: RunCtx<'_>,
-    ) -> Result<Exploration, PartitionError> {
-        if threads <= 1 {
-            return self.explore_sequential_ctx(&mut |_| {}, ctx);
-        }
-        // One work-stealing pool for the whole exploration: phase-2
-        // candidate bounds and any nested window subtree batches share
-        // this single `threads` budget (`Pool::with` reuses an ambient
-        // pool when the caller is already inside one), so a stalled
-        // window's jobs get stolen by idle workers instead of idling a
-        // statically split sub-pool.
-        rtr_sched::Pool::with(threads, |pool| self.explore_on_pool(pool, ctx))
-    }
-
-    fn explore_on_pool(
-        &self,
-        pool: &rtr_sched::Pool,
-        ctx: RunCtx<'_>,
-    ) -> Result<Exploration, PartitionError> {
-        let threads = pool.threads();
-        let mut span = rtr_trace::span("search.explore")
-            .with("backend", self.params.backend.to_string())
-            .with("tasks", self.graph.tasks().len())
-            .with("threads", threads);
-        let n_min_lower = min_area_partitions(self.graph, self.arch);
-        let n_min_upper = max_area_partitions(self.graph, self.arch);
-        let n_cap = n_min_upper.max(n_min_lower).saturating_add(self.params.gamma);
-        let started = Instant::now();
-
-        let mut records = Vec::new();
-        let mut degradation = Degradation::default();
-        let n_start = (n_min_lower.saturating_add(self.params.alpha)).min(n_cap);
-
-        // Phase 1 (sequential by nature): find the first feasible bound.
-        let (n1, mut best) = self.first_feasible(
-            n_start,
-            n_cap,
-            started,
-            &mut records,
-            &mut |_| {},
-            ctx,
-            &mut degradation,
-        )?;
-
-        // Phase 2: fan the independent candidate bounds out to workers,
-        // then merge in ascending-N order.
-        if let Some(pivot) = best.as_ref().map(|(_, latency)| *latency) {
-            let candidates: Vec<u32> = (n1 + 1..=n_cap).collect();
-            let (slots, sched_report) = self.run_candidates(&candidates, pivot, pool, started, ctx);
-            // Scheduler-level isolation totals are batch facts (a pure
-            // function of the job list under seeded faults), absorbed here
-            // unconditionally so they are never dropped by a merge break;
-            // the per-candidate lost entries ride inside their slots.
-            degradation.absorb(Degradation {
-                panics_caught: sched_report.panics_caught,
-                jobs_retried: sched_report.jobs_retried,
-                ..Degradation::default()
-            });
-            let mut best_latency = pivot;
-            for (slot, &n) in slots.into_iter().zip(&candidates) {
-                let d_min = min_latency(self.graph, self.arch, n);
-                if d_min >= best_latency {
-                    // Same early exit as the sequential loop; any slots past
-                    // this bound are discarded unseen.
-                    break;
-                }
-                match slot {
-                    CandidateSlot::Done {
-                        records: candidate_records,
-                        found,
-                        events,
-                        error,
-                        degradation: candidate_degradation,
-                    } => {
-                        rtr_trace::dispatch_all(events);
-                        records.extend(candidate_records);
-                        degradation.absorb(candidate_degradation);
-                        if let Some(error) = error {
-                            return Err(error);
-                        }
-                        if let Some((sol, latency)) = found {
-                            if latency < best_latency {
-                                best_latency = latency;
-                                best = Some((sol, latency));
-                            }
-                        }
-                    }
-                    CandidateSlot::Dominated => {
-                        // The skip rule only fires when the prefix bound —
-                        // never below the merge's running best — already
-                        // dominates d_min, so this arm is unreachable.
-                        debug_assert!(false, "skip rule fired at an undominated bound N={n}");
-                        break;
-                    }
-                    // The time budget expired before a worker reached this
-                    // bound: stop, as the sequential loop would have.
-                    CandidateSlot::NotRun => break,
-                }
-            }
-        }
-
-        let (best, best_latency) = match best {
-            Some((sol, latency)) => (Some(sol), Some(latency)),
-            None => (None, None),
-        };
-        if span.armed() {
-            span.add("solves", records.len());
-            span.add("feasible", best.is_some());
-            if let Some(latency) = best_latency {
-                span.add("best_latency_ns", latency.as_ns());
-            }
-        }
-        span.finish();
-        Ok(self.finish_exploration(Exploration {
-            best,
-            best_latency,
-            records,
-            n_min_lower,
-            n_min_upper,
-            degradation,
-        }))
+        self.explore_ctx(threads, &mut |_| {}, RunCtx::default())
     }
 
     /// Evaluates the phase-2 candidate bounds as one batch on the shared
-    /// work-stealing pool and returns one [`CandidateSlot`] per candidate,
-    /// index-aligned.
+    /// work-stealing pool and returns one run per candidate, index-aligned
+    /// (`None` where no worker evaluated the bound).
     ///
     /// Latencies travel through the atomics as IEEE-754 bits: for
     /// non-negative floats the bit pattern orders like the number, so
@@ -1535,9 +1460,9 @@ impl<'g> TemporalPartitioner<'g> {
         pool: &rtr_sched::Pool,
         started: Instant,
         ctx: RunCtx<'_>,
-    ) -> (Vec<CandidateSlot>, rtr_sched::BatchReport) {
-        let slots: Vec<Mutex<CandidateSlot>> =
-            candidates.iter().map(|_| Mutex::new(CandidateSlot::NotRun)).collect();
+    ) -> (Vec<Option<CandidateRun>>, rtr_sched::BatchReport) {
+        let slots: Vec<Mutex<Option<CandidateRun>>> =
+            candidates.iter().map(|_| Mutex::new(None)).collect();
         // Best latency achieved anywhere so far, phase 1 included. Purely a
         // pruning accelerator: correctness rests on the prefix confirmation
         // below, so stale reads are harmless.
@@ -1548,23 +1473,21 @@ impl<'g> TemporalPartitioner<'g> {
         // Smallest bound proven dominated; the merge can never get past it,
         // so larger bounds need not run at all.
         let stop_at = AtomicU32::new(u32::MAX);
-        // The pool's FIFO injector hands indices out in ascending-N order —
-        // the same claim discipline the bespoke pool's atomic cursor had.
+        // The pool's FIFO injector hands indices out in ascending-N order.
         let report = pool.run(candidates.len(), CANDIDATE_FAIL_KEY, |idx| {
             let n = candidates[idx];
-            if self.expired(started) {
-                // Slot stays NotRun: the merge stops here, exactly where
-                // the sequential loop's budget check would.
-                return;
-            }
-            if n >= stop_at.load(Ordering::Relaxed) {
+            // Budget expired or bound out of reach: the slot stays empty,
+            // and the merge stops at or before it.
+            if self.expired(started) || n >= stop_at.load(Ordering::Relaxed) {
                 return;
             }
             let d_min = min_latency(self.graph, self.arch, n);
             // Shared-incumbent pruning: the cheap global test may reflect
             // achievements of *larger* bounds the sequential order could
             // not have seen, so a hit must be confirmed against the
-            // order-safe prefix bound before skipping.
+            // order-safe prefix bound before skipping. The prefix bound is
+            // never below the merge's running best at this bound, so the
+            // merge's early exit fires here or earlier.
             if d_min.as_ns() >= f64::from_bits(incumbent.load(Ordering::Relaxed)) {
                 let prefix = achieved[..idx]
                     .iter()
@@ -1572,51 +1495,27 @@ impl<'g> TemporalPartitioner<'g> {
                     .fold(pivot.as_ns(), f64::min);
                 if d_min.as_ns() >= prefix {
                     stop_at.fetch_min(n, Ordering::Relaxed);
-                    *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) =
-                        CandidateSlot::Dominated;
                     return;
                 }
             }
-            let mut candidate_records = Vec::new();
-            let mut degradation = Degradation::default();
-            // The candidate- and window-level panic isolation lives inside
-            // run_candidate_isolated, which the sequential loop shares —
-            // and inside the capture closure, because capture is not
-            // panic-safe.
-            let (result, events) = rtr_trace::capture(|| {
-                self.run_candidate_isolated(
-                    n,
-                    pivot,
-                    d_min,
-                    &mut candidate_records,
-                    &mut |_| {},
-                    ctx,
-                    &mut degradation,
-                )
-            });
-            let (found, error) = match result {
-                Ok(found) => (found, None),
-                Err(error) => (None, Some(error)),
-            };
-            if let Some((_, latency)) = &found {
+            // Panic isolation lives inside run_candidate, and so inside the
+            // capture closure, because capture is not panic-safe.
+            let (mut run, events) =
+                rtr_trace::capture(|| self.run_candidate(n, pivot, d_min, &mut |_| {}, ctx));
+            run.events = events;
+            if let Some((_, latency)) = &run.found {
                 let bits = latency.as_ns().to_bits();
                 achieved[idx].store(bits, Ordering::Relaxed);
                 incumbent.fetch_min(bits, Ordering::Relaxed);
             }
-            *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) = CandidateSlot::Done {
-                records: candidate_records,
-                found,
-                events,
-                error,
-                degradation,
-            };
+            *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) = Some(run);
         });
-        let mut slots: Vec<CandidateSlot> = slots
+        let mut runs: Vec<Option<CandidateRun>> = slots
             .into_iter()
             .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
             .collect();
         // A candidate the scheduler abandoned (every `sched.job` attempt
-        // panicked) must become a *degraded* Done: leaving it NotRun would
+        // panicked) must become a *degraded* run: leaving it empty would
         // make the merge mistake it for a time-budget stop. The report is
         // a pure function of the job list, so this rewrite is as
         // deterministic as the faults themselves.
@@ -1628,19 +1527,19 @@ impl<'g> TemporalPartitioner<'g> {
                 n: candidates[idx],
                 iteration: 0,
             });
-            slots[idx] = CandidateSlot::Done {
+            runs[idx] = Some(CandidateRun {
                 records: Vec::new(),
                 found: None,
                 events: Vec::new(),
                 error: None,
                 degradation,
-            };
+            });
         }
-        (slots, report)
+        (runs, report)
     }
 }
 
-/// Compile-time proof that the partitioner can be shared across the scoped
+/// Compile-time proof that the partitioner can be shared across the pool
 /// workers of [`TemporalPartitioner::explore_parallel`] and that
 /// per-candidate results can move back to the merging thread.
 #[allow(dead_code)]
@@ -1854,12 +1753,23 @@ mod tests {
     fn observer_sees_every_record_in_order() {
         let g = chain3();
         let arch = Architecture::new(Area::new(100), 64, Latency::from_ns(20.0));
-        let part = TemporalPartitioner::new(&g, &arch, Default::default()).unwrap();
-        let mut seen = Vec::new();
-        let ex = part.explore_with_observer(|r| seen.push((r.n, r.iteration))).unwrap();
-        let expected: Vec<(u32, u32)> = ex.records.iter().map(|r| (r.n, r.iteration)).collect();
-        assert_eq!(seen, expected);
-        assert!(!seen.is_empty());
+        let params = ExploreParams {
+            delta: Latency::from_ns(10.0),
+            gamma: 2,
+            time_budget: None,
+            ..Default::default()
+        };
+        let part = TemporalPartitioner::new(&g, &arch, params).unwrap();
+        let mut streams = Vec::new();
+        for threads in [1, 2, 4] {
+            let mut seen = Vec::new();
+            let ex = part.explore_resumable(threads, None, None, |r| seen.push(r.clone())).unwrap();
+            assert_eq!(seen, ex.records, "threads={threads}");
+            // The fixture must exercise phase 2, the pooled merge's replay.
+            assert!(seen.iter().any(|r| r.n > seen[0].n), "no phase-2 records");
+            streams.push(ex.to_csv());
+        }
+        assert!(streams.windows(2).all(|w| w[0] == w[1]), "streams differ by thread count");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::cuts::CutPool;
 use crate::error::MilpError;
 use crate::model::{effective_bounds, Model, Sense, VarKind};
-use crate::simplex::{resolve_lp_priced, solve_lp_priced, Basis, LpStatus};
+use crate::simplex::{resolve_lp_with_deadline, solve_lp_with_deadline, Basis, LpStatus};
 use crate::solution::{Goal, Outcome, Solution, SolveOptions, SolveStats, Status};
 use rtr_trace::Instrument as _;
 use std::rc::Rc;
@@ -283,23 +283,15 @@ fn branch_and_bound(
         let cap = lp_cap(&stats);
         let budget_was_binding = budget_bound(&stats);
         let lp = match warm_basis {
-            Some(basis) => resolve_lp_priced(
+            Some(basis) => resolve_lp_with_deadline(
                 smodel,
                 Some(&bounds),
                 basis,
                 options.lp_tol,
                 cap,
                 deadline,
-                options.pricing,
             ),
-            None => solve_lp_priced(
-                smodel,
-                Some(&bounds),
-                options.lp_tol,
-                cap,
-                deadline,
-                options.pricing,
-            ),
+            None => solve_lp_with_deadline(smodel, Some(&bounds), options.lp_tol, cap, deadline),
         };
         let lp = match lp {
             Ok(lp) => lp,
@@ -397,13 +389,12 @@ fn branch_and_bound(
                 let re_cap = lp_cap(&stats);
                 let re_budget_was_binding = budget_bound(&stats);
                 let re_start = Instant::now();
-                let relp = match solve_lp_priced(
+                let relp = match solve_lp_with_deadline(
                     &work_next,
                     Some(&root_bounds),
                     options.lp_tol,
                     re_cap,
                     deadline,
-                    options.pricing,
                 ) {
                     Ok(relp) => relp,
                     Err(MilpError::IterationLimit { .. }) if re_budget_was_binding => {
@@ -560,22 +551,20 @@ fn branch_and_bound(
                     stats.strong_branch_evals += 1;
                     let sb_start = Instant::now();
                     let probe = match lp.basis.as_ref() {
-                        Some(b) => resolve_lp_priced(
+                        Some(b) => resolve_lp_with_deadline(
                             smodel,
                             Some(&cb),
                             b,
                             options.lp_tol,
                             STRONG_BRANCH_ITERS,
                             deadline,
-                            options.pricing,
                         ),
-                        None => solve_lp_priced(
+                        None => solve_lp_with_deadline(
                             smodel,
                             Some(&cb),
                             options.lp_tol,
                             STRONG_BRANCH_ITERS,
                             deadline,
-                            options.pricing,
                         ),
                     };
                     let sb = match probe {

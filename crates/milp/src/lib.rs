@@ -64,7 +64,7 @@ pub use error::MilpError;
 pub use model::{Constraint, LinExpr, Model, Rel, Sense, VarId, VarKind, Variable};
 pub use presolve::{presolve, PresolveOutcome, PresolveStats};
 pub use simplex::{
-    resolve_lp, resolve_lp_priced, resolve_lp_with_deadline, solve_lp, solve_lp_priced,
-    solve_lp_with_deadline, Basis, LpOutcome, LpStatus, Pricing, VarStatus,
+    resolve_lp, resolve_lp_with_deadline, solve_lp, solve_lp_with_deadline, Basis, LpOutcome,
+    LpStatus, VarStatus,
 };
 pub use solution::{Outcome, Solution, SolveOptions, SolveStats, Status};

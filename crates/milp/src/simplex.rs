@@ -4,7 +4,7 @@
 //! dense-tableau implementation — slack columns encode the row relations,
 //! infeasible basics are driven home by a *composite phase 1* (piecewise
 //! infeasibility costs in `{-1, 0, +1}`, no artificial columns), nonbasic
-//! variables may *bound-flip* without a basis change, and Dantzig pricing
+//! variables may *bound-flip* without a basis change, and devex pricing
 //! switches to Bland's rule after a run of degenerate pivots — but replaces
 //! the `m × (n + m)` tableau with a *revised* formulation:
 //!
@@ -47,7 +47,7 @@ const REFACTOR_INTERVAL: usize = 64;
 /// Dual pivots without primal-infeasibility progress before the warm solve
 /// gives up and falls back to a cold primal.
 const DUAL_STALL_LIMIT: usize = 1000;
-/// Devex/steepest-edge reference weights above this trigger a framework
+/// Devex reference weights above this trigger a framework
 /// reset (all weights back to 1, counted in `LpOutcome::devex_resets`).
 const DEVEX_RESET_LIMIT: f64 = 1e7;
 /// Row count below which eta factors always stay sparse: the dense kernel
@@ -56,31 +56,6 @@ const DENSE_ETA_MIN_M: usize = 64;
 /// An eta factor whose off-pivot fill reaches `m / DENSE_ETA_FRAC` is stored
 /// as a dense block.
 const DENSE_ETA_FRAC: usize = 4;
-
-/// Primal pricing rule for selecting the entering column.
-///
-/// All three rules reach the same optimal objective (the simplex is exact
-/// regardless of pricing); they differ only in pivot counts. Selection is
-/// deterministic under every rule: scores are compared exactly and ties
-/// keep the lowest column index, and the devex/steepest-edge reference
-/// frameworks are seeded only by pivot history, so repeated runs are
-/// bit-identical. Bland's anti-cycling rule overrides all of them after a
-/// long degenerate run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Pricing {
-    /// Classic most-negative reduced cost. Cheapest per iteration, worst
-    /// pivot counts on degenerate models; kept for differential testing.
-    Dantzig,
-    /// Devex reference-framework pricing (Forrest–Goldfarb): approximate
-    /// steepest-edge weights maintained from the pivot row, reset to the
-    /// unit framework when they overflow. The default.
-    #[default]
-    Devex,
-    /// Exact-initialization steepest edge with Goldfarb–Reid updates. One
-    /// extra BTRAN per pivot over devex; best pivot counts, highest cost
-    /// per iteration.
-    SteepestEdge,
-}
 
 /// Status of an LP relaxation solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,7 +115,7 @@ pub struct LpOutcome {
     pub basis: Option<Basis>,
     /// Basis refactorizations performed.
     pub refactorizations: usize,
-    /// Devex / steepest-edge reference-framework resets performed.
+    /// Devex reference-framework resets performed.
     pub devex_resets: usize,
     /// `true` if the solve ran from a supplied warm basis without falling
     /// back to a cold start.
@@ -323,13 +298,6 @@ struct Solver<'a> {
     iterations: usize,
     devex_resets: usize,
     tol: f64,
-}
-
-/// Pricing weights for the devex / steepest-edge reference frameworks.
-/// Empty (and unused) under Dantzig.
-struct PriceState {
-    rule: Pricing,
-    weights: Vec<f64>,
 }
 
 impl<'a> Solver<'a> {
@@ -685,31 +653,12 @@ impl<'a> Solver<'a> {
         true
     }
 
-    /// Initializes the pricing weights: the unit reference framework for
-    /// devex, exact column norms (`1 + ‖a_j‖²`, the steepest-edge gammas at
-    /// the slack basis) for steepest edge, nothing for Dantzig.
-    fn init_price_state(&self, rule: Pricing) -> PriceState {
-        let weights = match rule {
-            Pricing::Dantzig => Vec::new(),
-            Pricing::Devex => vec![1.0; self.total],
-            Pricing::SteepestEdge => (0..self.total)
-                .map(|j| {
-                    let (_, vals) = self.col(j);
-                    1.0 + vals.iter().map(|v| v * v).sum::<f64>()
-                })
-                .collect(),
-        };
-        PriceState { rule, weights }
-    }
-
-    /// Updates the devex / steepest-edge reference weights for the pivot
+    /// Updates the devex reference weights (Forrest–Goldfarb: approximate
+    /// steepest-edge weights maintained from the pivot row) for the pivot
     /// (entering column `q` on row `r`, ftran'd column `w`). Must run
     /// *before* the basis is mutated: it needs the pre-pivot eta file and
     /// nonbasic set. Weight overflow resets the framework and is counted.
-    fn update_price_weights(&mut self, price: &mut PriceState, q: usize, r: usize, w: &[f64]) {
-        if price.rule == Pricing::Dantzig {
-            return;
-        }
+    fn update_devex_weights(&mut self, weights: &mut [f64], q: usize, r: usize, w: &[f64]) {
         let alpha_q = w[r];
         if alpha_q.abs() <= PIV_EPS {
             return;
@@ -717,18 +666,9 @@ impl<'a> Solver<'a> {
         let mut rho = vec![0.0f64; self.m];
         rho[r] = 1.0;
         self.etas.btran(&mut rho);
-        // Steepest edge also needs v = B⁻ᵀ(B⁻¹ a_q) for the Goldfarb–Reid
-        // cross term.
-        let v_se = if price.rule == Pricing::SteepestEdge {
-            let mut v = w.to_vec();
-            self.etas.btran(&mut v);
-            Some(v)
-        } else {
-            None
-        };
-        let gamma_q = price.weights[q].max(1.0);
+        let gamma_q = weights[q].max(1.0);
         let mut max_w = 0.0f64;
-        for j in 0..self.total {
+        for (j, wj) in weights.iter_mut().enumerate() {
             if j == q || self.is_basic[j] || self.is_fixed(j) {
                 continue;
             }
@@ -737,22 +677,9 @@ impl<'a> Solver<'a> {
                 continue;
             }
             let ratio = alpha_j / alpha_q;
-            let wj = &mut price.weights[j];
-            match price.rule {
-                Pricing::Devex => {
-                    let cand = ratio * ratio * gamma_q;
-                    if cand > *wj {
-                        *wj = cand;
-                    }
-                }
-                Pricing::SteepestEdge => {
-                    if let Some(v) = &v_se {
-                        let aj_v = self.dot_col(j, v);
-                        let next = *wj - 2.0 * ratio * aj_v + ratio * ratio * gamma_q;
-                        *wj = next.max(1.0 + ratio * ratio);
-                    }
-                }
-                Pricing::Dantzig => {}
+            let cand = ratio * ratio * gamma_q;
+            if cand > *wj {
+                *wj = cand;
             }
             if *wj > max_w {
                 max_w = *wj;
@@ -761,12 +688,10 @@ impl<'a> Solver<'a> {
         // The leaving variable re-enters the nonbasic set with the reference
         // weight induced by the pivot; the entering column's slot resets.
         let leaving = self.order[r];
-        price.weights[leaving] = (gamma_q / (alpha_q * alpha_q)).max(1.0);
-        price.weights[q] = 1.0;
+        weights[leaving] = (gamma_q / (alpha_q * alpha_q)).max(1.0);
+        weights[q] = 1.0;
         if max_w > DEVEX_RESET_LIMIT {
-            for wj in &mut price.weights {
-                *wj = 1.0;
-            }
+            weights.fill(1.0);
             self.devex_resets += 1;
             rtr_trace::status::board().add_lp_devex_resets(1);
         }
@@ -779,10 +704,10 @@ impl<'a> Solver<'a> {
         limit: usize,
         deadline: Option<Instant>,
         warm: bool,
-        pricing: Pricing,
     ) -> Result<LpOutcome, MilpError> {
         let tol = self.tol;
-        let mut price = self.init_price_state(pricing);
+        // Devex starts from the unit reference framework.
+        let mut weights = vec![1.0f64; self.total];
         let mut degenerate_run = 0usize;
         loop {
             if self.iterations >= limit {
@@ -819,7 +744,7 @@ impl<'a> Solver<'a> {
 
             let use_bland = degenerate_run > BLAND_AFTER;
             let mut entering: Option<(usize, f64, f64)> = None; // (col, score, direction)
-            for j in 0..self.total {
+            for (j, &weight) in weights.iter().enumerate() {
                 if self.is_basic[j] {
                     continue;
                 }
@@ -854,13 +779,9 @@ impl<'a> Solver<'a> {
                     entering = Some((j, d.abs(), dir));
                     break;
                 }
-                // Dantzig scores by |d|; devex / steepest edge by d²/γ_j.
-                // Exact comparison with first-lowest-index ties keeps the
-                // selection deterministic under every rule.
-                let score = match price.rule {
-                    Pricing::Dantzig => d.abs(),
-                    Pricing::Devex | Pricing::SteepestEdge => d * d / price.weights[j],
-                };
+                // Devex scores by d²/γ_j. Exact comparison with
+                // first-lowest-index ties keeps the selection deterministic.
+                let score = d * d / weight;
                 match entering {
                     Some((_, best, _)) if best >= score => {}
                     _ => entering = Some((j, score, dir)),
@@ -956,7 +877,7 @@ impl<'a> Solver<'a> {
                     self.at_upper[q] = !self.at_upper[q];
                 }
                 Some((r, leave_bound)) => {
-                    self.update_price_weights(&mut price, q, r, &w);
+                    self.update_devex_weights(&mut weights, q, r, &w);
                     let step = best_step;
                     for (i, &alpha) in w.iter().enumerate() {
                         if i == r {
@@ -1208,29 +1129,13 @@ pub fn solve_lp_with_deadline(
     iteration_limit: usize,
     deadline: Option<Instant>,
 ) -> Result<LpOutcome, MilpError> {
-    solve_lp_priced(model, bounds_override, tol, iteration_limit, deadline, Pricing::default())
-}
-
-/// [`solve_lp_with_deadline`] under an explicit [`Pricing`] rule.
-///
-/// # Errors
-///
-/// Returns [`MilpError::IterationLimit`] like [`solve_lp`].
-pub fn solve_lp_priced(
-    model: &Model,
-    bounds_override: Option<&[(f64, f64)]>,
-    tol: f64,
-    iteration_limit: usize,
-    deadline: Option<Instant>,
-    pricing: Pricing,
-) -> Result<LpOutcome, MilpError> {
     let limit = auto_limit(model, iteration_limit);
     let mut s = match Solver::build(model, bounds_override, tol) {
         Built::Crossed => return Ok(trivially_infeasible(false)),
         Built::Ready(s) => s,
     };
     s.install_slack_basis();
-    s.primal(limit, deadline, false, pricing)
+    s.primal(limit, deadline, false)
 }
 
 /// Re-solves `model` starting from a parent [`Basis`], intended for the two
@@ -1274,33 +1179,6 @@ pub fn resolve_lp_with_deadline(
     iteration_limit: usize,
     deadline: Option<Instant>,
 ) -> Result<LpOutcome, MilpError> {
-    resolve_lp_priced(
-        model,
-        bounds_override,
-        basis,
-        tol,
-        iteration_limit,
-        deadline,
-        Pricing::default(),
-    )
-}
-
-/// [`resolve_lp_with_deadline`] under an explicit [`Pricing`] rule (the
-/// pricing applies to the primal phases; the dual warm path is unchanged).
-///
-/// # Errors
-///
-/// Returns [`MilpError::IterationLimit`] like [`resolve_lp`].
-#[allow(clippy::too_many_arguments)]
-pub fn resolve_lp_priced(
-    model: &Model,
-    bounds_override: Option<&[(f64, f64)]>,
-    basis: &Basis,
-    tol: f64,
-    iteration_limit: usize,
-    deadline: Option<Instant>,
-    pricing: Pricing,
-) -> Result<LpOutcome, MilpError> {
     let limit = auto_limit(model, iteration_limit);
     let (spent, refacts, resets) = match Solver::build(model, bounds_override, tol) {
         Built::Crossed => return Ok(trivially_infeasible(true)),
@@ -1314,7 +1192,7 @@ pub fn resolve_lp_priced(
                 } else {
                     // Dual-infeasible parent (stale costs): still a better
                     // starting vertex than the slack identity.
-                    match s.primal(limit, deadline, true, pricing) {
+                    match s.primal(limit, deadline, true) {
                         Ok(out) => return Ok(out),
                         Err(MilpError::IterationLimit { .. }) => {}
                         Err(e) => return Err(e),
@@ -1326,7 +1204,7 @@ pub fn resolve_lp_priced(
     };
     // Cold fallback with a fresh budget: a warm entry must never fail where
     // a cold solve would have succeeded.
-    let mut out = solve_lp_priced(model, bounds_override, tol, iteration_limit, deadline, pricing)?;
+    let mut out = solve_lp_with_deadline(model, bounds_override, tol, iteration_limit, deadline)?;
     out.iterations += spent;
     out.refactorizations += refacts;
     out.devex_resets += resets;

@@ -1,6 +1,5 @@
 //! Solve options, solutions, and outcomes.
 
-use crate::simplex::Pricing;
 use rtr_trace::CancelFlag;
 use std::fmt;
 use std::time::Duration;
@@ -53,8 +52,6 @@ pub struct SolveOptions {
     /// every node. Outcomes are identical either way — warm solves fall
     /// back to a cold start on any trouble — only the pivot counts differ.
     pub warm_start: bool,
-    /// Simplex pricing rule for every LP solved during the search.
-    pub pricing: Pricing,
     /// Run root cutting planes (cover/clique/Gomory rounds) before
     /// branching. Separation only runs for [`Goal::Optimal`] solves — the
     /// feasibility hot path of the paper's DSE loop stays cut-free.
@@ -116,7 +113,6 @@ impl Default for SolveOptions {
             rounding_heuristic: true,
             presolve: true,
             warm_start: true,
-            pricing: Pricing::default(),
             cuts: true,
             pseudo_cost_branching: true,
             cancel: CancelFlag::new(),

@@ -170,12 +170,18 @@ impl SolveCache {
         }
     }
 
-    /// Startup recovery scan: verifies every cache entry (quarantining
-    /// corrupt ones eagerly) and collects the interrupted-job checkpoints
-    /// left behind by a crash, keyed by fingerprint. The returned map is
-    /// the "resumable" set — a new submit whose fingerprint matches
-    /// resumes from the interrupted run's verified windows.
+    /// Startup recovery scan: deletes the stray temp files of writes a
+    /// crash cut short, verifies every cache entry (quarantining corrupt
+    /// ones eagerly), and collects the interrupted-job checkpoints left
+    /// behind, keyed by fingerprint. The returned map is the "resumable"
+    /// set — a new submit whose fingerprint matches resumes from the
+    /// interrupted run's verified windows.
     pub fn recover(&self) -> RecoveryReport {
+        for dir in [self.dir.clone(), self.dir.join("jobs")] {
+            for tmp in list_dir(&dir, "tmp") {
+                let _ = std::fs::remove_file(tmp);
+            }
+        }
         let mut verified = 0u64;
         let mut quarantined = 0u64;
         let mut entries = list_dir(&self.dir, "rtrc");
@@ -320,6 +326,20 @@ mod tests {
         assert_eq!(report.verified, 2);
         assert_eq!(report.quarantined, 1);
         assert!(report.resumable.is_empty());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn recover_deletes_stray_temp_files() {
+        let cache = SolveCache::open(temp_dir("stray_tmp")).expect("open cache");
+        let strays = [cache.dir().join("00ab.77.0.tmp"), cache.dir().join("jobs/00ab.77.1.tmp")];
+        for stray in &strays {
+            std::fs::write(stray, b"torn").expect("write stray temp file");
+        }
+        assert!(cache.store(1, &sample_checkpoint()));
+        let report = cache.recover();
+        assert_eq!(report.verified, 1);
+        assert!(strays.iter().all(|p| !p.exists()), "stray temp files survived recovery");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

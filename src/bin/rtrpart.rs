@@ -384,27 +384,9 @@ fn partition_body(opts: &Options, simulate: bool) -> Result<(), String> {
         None => None,
     };
 
-    // Only the sequential path streams records as they happen; parallel
-    // workers race, so their merged (and deterministic) record stream is
-    // printed once the exploration finishes.
-    let streamed = threads == 1;
-    let exploration = if policy.is_some() || resume.is_some() {
-        partitioner.explore_resumable(threads, policy.as_ref(), resume.as_ref(), |r| {
-            if streamed {
-                print_record(r);
-            }
-        })
-    } else if streamed {
-        partitioner.explore_with_observer(print_record)
-    } else {
-        partitioner.explore_parallel(threads)
-    }
-    .map_err(|e| format!("exploration failed: {e}"))?;
-    if !streamed {
-        for r in &exploration.records {
-            print_record(r);
-        }
-    }
+    let exploration = partitioner
+        .explore_resumable(threads, policy.as_ref(), resume.as_ref(), print_record)
+        .map_err(|e| format!("exploration failed: {e}"))?;
     if !quiet {
         println!();
     }
