@@ -1,12 +1,12 @@
 //! A minimal HTTP/1.1 server for the job API — std-only, close-per-request.
 //!
-//! The accept loop runs on its own thread with a non-blocking listener so
-//! drain/shutdown can interleave with accepts; each connection is read
-//! with a timeout, parsed, routed, answered, and closed (`Connection:
-//! close`). Handlers run under `catch_unwind` with the `rtrd.handler`
-//! failpoint inside: a panicking handler (injected or genuine) costs that
-//! one connection a 500 response — never the accept loop, never another
-//! request, never a running job.
+//! The accept loop runs on its own thread, blocked in `accept` until a
+//! connection arrives, so no request waits on a poll tick; each connection
+//! is read with a timeout, parsed, routed, answered in a single write, and
+//! closed (`Connection: close`). Handlers run under `catch_unwind` with
+//! the `rtrd.handler` failpoint inside: a panicking handler (injected or
+//! genuine) costs that one connection a 500 response — never the accept
+//! loop, never another request, never a running job.
 //!
 //! ## Endpoints
 //!
@@ -66,7 +66,7 @@ impl Response {
     }
 
     fn write_to(&self, stream: &mut TcpStream) {
-        let mut head = format!(
+        let mut out = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
             self.status,
             self.reason,
@@ -74,14 +74,15 @@ impl Response {
         );
         if let Some(ms) = self.retry_after_ms {
             // Retry-After is in seconds; round up so "500ms" never reads 0.
-            head.push_str(&format!("retry-after: {}\r\n", ms.div_ceil(1000)));
+            out.push_str(&format!("retry-after: {}\r\n", ms.div_ceil(1000)));
         }
-        head.push_str("connection: close\r\n\r\n");
-        // The client may already be gone; a failed write only ends this
+        out.push_str("connection: close\r\n\r\n");
+        out.push_str(&self.body);
+        // One write: the head and body leave in the same segments, so the
+        // body never waits on Nagle's algorithm for the head's ACK. The
+        // client may already be gone; a failed write only ends this
         // connection.
-        let _ = stream.write_all(head.as_bytes());
-        let _ = stream.write_all(self.body.as_bytes());
-        let _ = stream.flush();
+        let _ = stream.write_all(out.as_bytes());
     }
 }
 
@@ -91,13 +92,18 @@ fn read_request(stream: &mut TcpStream) -> Option<Request> {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
+    // Each read only scans the new bytes (plus three carried over, for a
+    // terminator split across reads), so a long header block costs linear
+    // time, not a rescan of everything read so far per chunk.
+    let mut scanned = 0;
     let header_end = loop {
-        if let Some(pos) = find_header_end(&buf) {
-            break pos;
+        if let Some(pos) = find_header_end(&buf[scanned..]) {
+            break scanned + pos;
         }
         if buf.len() > MAX_BODY {
             return None;
         }
+        scanned = buf.len().saturating_sub(3);
         let n = stream.read(&mut chunk).ok()?;
         if n == 0 {
             return None;

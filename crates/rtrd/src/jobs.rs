@@ -44,7 +44,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -53,9 +54,6 @@ pub const WORKER_RETRY_LIMIT: u32 = 2;
 
 /// Retry-after hint returned with queue-full rejections, in milliseconds.
 pub const RETRY_AFTER_MS: u64 = 500;
-
-/// Deadline watchdog polling cadence.
-const WATCHDOG_TICK: Duration = Duration::from_millis(10);
 
 /// Public job state, as reported by the status endpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +108,6 @@ pub enum SubmitError {
 struct JobEntry {
     state: JobState,
     cancel: CancelFlag,
-    finished: Arc<AtomicBool>,
     /// Taken by the worker when the job starts.
     request: Option<JobRequest>,
     fingerprint: u64,
@@ -206,7 +203,6 @@ impl JobTable {
             JobEntry {
                 state: JobState::Queued,
                 cancel: request.params.cancel.clone(),
-                finished: Arc::new(AtomicBool::new(false)),
                 request: Some(request),
                 fingerprint,
                 deadline,
@@ -246,7 +242,7 @@ impl JobTable {
     /// check).
     pub fn cancel_all(&self) {
         for job in self.lock().jobs.values() {
-            if !job.finished.load(Ordering::Relaxed) {
+            if matches!(job.state, JobState::Queued | JobState::Running) {
                 job.cancel.cancel();
             }
         }
@@ -323,24 +319,20 @@ impl JobTable {
                         job.state = JobState::Running;
                         let request = job.request.take();
                         let cancel = job.cancel.clone();
-                        let finished = Arc::clone(&job.finished);
                         let fingerprint = job.fingerprint;
                         let deadline = job.deadline;
-                        break Some((id, request, cancel, finished, fingerprint, deadline));
+                        break Some((id, request, cancel, fingerprint, deadline));
                     }
                     inner = self.work_ready.wait(inner).unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let Some((id, request, cancel, finished, fingerprint, deadline)) = claimed else {
+            let Some((id, request, cancel, fingerprint, deadline)) = claimed else {
                 return;
             };
             let state = match request {
-                Some(request) => {
-                    self.run_with_retries(id, request, &cancel, &finished, fingerprint, deadline)
-                }
+                Some(request) => self.run_with_retries(id, request, &cancel, fingerprint, deadline),
                 None => JobState::Failed { error: "job request lost".to_owned() },
             };
-            finished.store(true, Ordering::Relaxed);
             let mut inner = self.lock();
             if let Some(job) = inner.jobs.get_mut(&id) {
                 job.state = state;
@@ -357,21 +349,18 @@ impl JobTable {
         id: u64,
         request: JobRequest,
         cancel: &CancelFlag,
-        finished: &Arc<AtomicBool>,
         fingerprint: u64,
         deadline: Option<Duration>,
     ) -> JobState {
+        // The deadline watchdog blocks until the deadline passes or the job
+        // ends, whichever is first: dropping `finished` ends the wait at
+        // once, and a deadline cancels at its instant, not at a poll tick.
+        let (finished, ended) = mpsc::channel::<()>();
         let watchdog = deadline.map(|limit| {
             let cancel = cancel.clone();
-            let finished = Arc::clone(finished);
             std::thread::spawn(move || {
-                let armed = std::time::Instant::now();
-                while !finished.load(Ordering::Relaxed) {
-                    if armed.elapsed() >= limit {
-                        cancel.cancel();
-                        return;
-                    }
-                    std::thread::sleep(WATCHDOG_TICK);
+                if let Err(RecvTimeoutError::Timeout) = ended.recv_timeout(limit) {
+                    cancel.cancel();
                 }
             })
         });
@@ -396,8 +385,7 @@ impl JobTable {
                 }
             }
         };
-        // Unblock the watchdog promptly so short-deadline threads retire.
-        finished.store(true, Ordering::Relaxed);
+        drop(finished);
         if let Some(handle) = watchdog {
             let _ = handle.join();
         }

@@ -67,7 +67,7 @@ pub use jobs::{JobState, JobTable, SubmitError, RETRY_AFTER_MS, WORKER_RETRY_LIM
 pub use request::{JobRequest, RequestError};
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -125,28 +125,21 @@ impl Server {
 
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop_accept = Arc::new(AtomicBool::new(false));
 
+        // The accept loop blocks in `accept`, so a connection is served the
+        // moment it arrives; shutdown sets the stop flag and then wakes the
+        // loop with a connection of its own.
         let accept_table = Arc::clone(&table);
         let accept_stop = Arc::clone(&stop_accept);
         let accept_thread =
-            std::thread::Builder::new().name("rtrd-accept".to_owned()).spawn(move || loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let _ = stream.set_nonblocking(false);
+            std::thread::Builder::new().name("rtrd-accept".to_owned()).spawn(move || {
+                for stream in listener.incoming() {
+                    if accept_stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    if let Ok(stream) = stream {
                         http::serve_connection(&accept_table, stream);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if accept_stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => {
-                        if accept_stop.load(Ordering::Relaxed) {
-                            return;
-                        }
                     }
                 }
             })?;
@@ -193,18 +186,34 @@ impl Server {
     }
 
     fn stop_threads(&mut self) {
-        self.stop_accept.store(true, Ordering::Relaxed);
+        self.stop_accept.store(true, Ordering::SeqCst);
         self.table.stop();
         // Running jobs wind down cooperatively to best-so-far; their
         // every-window checkpoints are already durable on disk.
         self.table.cancel_all();
         if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+            // Wake the blocked `accept`; it sees the stop flag and returns.
+            // Should the wake-up fail to connect, the thread is left to end
+            // with the process rather than joined forever.
+            if TcpStream::connect(wake_addr(self.addr)).is_ok() {
+                let _ = handle.join();
+            }
         }
         for handle in self.worker_threads.drain(..) {
             let _ = handle.join();
         }
     }
+}
+
+/// Where shutdown connects to wake the accept loop: the bound address, or
+/// the loopback address of its family when bound to all interfaces.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 impl Drop for Server {
@@ -219,5 +228,18 @@ impl std::fmt::Debug for Server {
             .field("addr", &self.addr)
             .field("workers", &self.worker_threads.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_turns_a_wildcard_bind_into_loopback() {
+        let wake = |s: &str| wake_addr(s.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:7171"), "127.0.0.1:7171");
+        assert_eq!(wake("[::]:7171"), "[::1]:7171");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
     }
 }

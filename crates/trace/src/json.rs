@@ -142,7 +142,7 @@ impl JsonValue {
 ///
 /// Returns [`ParseError`] on malformed JSON or trailing characters.
 pub fn parse_value(text: &str) -> Result<JsonValue, ParseError> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut parser = Parser::new(text);
     let value = parser.value()?;
     parser.skip_ws();
     if parser.pos != text.len() {
@@ -154,11 +154,16 @@ pub fn parse_value(text: &str) -> Result<JsonValue, ParseError> {
 use JsonValue as Json;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser { text, bytes: text.as_bytes(), pos: 0 }
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError { at: self.pos, message: message.into() })
     }
@@ -265,17 +270,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar. The slice is non-empty by the
-                    // surrounding guard, but a malformed input should yield a
-                    // parse error, not a panic.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| {
-                        ParseError { at: self.pos, message: "invalid utf-8".into() }
-                    })?;
-                    let Some(c) = rest.chars().next() else {
-                        return self.err("unterminated string");
+                    // Copy the run of plain characters up to the next quote
+                    // or backslash in one go. Both are ASCII, so the run
+                    // ends on a character boundary of the UTF-8 input.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let Some(run) = self.text.get(self.pos..end) else {
+                        return self.err("invalid utf-8");
                     };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -361,7 +367,7 @@ fn json_to_value(json: &Json) -> Value {
 /// Returns [`ParseError`] on malformed JSON or a JSON shape that is not a
 /// trace event.
 pub fn parse_event(line: &str) -> Result<Event, ParseError> {
-    let mut parser = Parser { bytes: line.as_bytes(), pos: 0 };
+    let mut parser = Parser::new(line);
     let value = parser.value()?;
     parser.skip_ws();
     if parser.pos != line.len() {
@@ -500,6 +506,26 @@ mod tests {
         assert!(parse_jsonl("not json").is_err());
         let err = parse_event("nope").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn strings_mix_plain_runs_escapes_and_multibyte_text() {
+        let text = r#"{"s":"a\"b\\c→d\u00e9\n€end","t":"","u":"π"}"#;
+        let parsed = parse_value(text).unwrap();
+        assert_eq!(parsed.get("s").and_then(JsonValue::as_str), Some("a\"b\\c→d\u{e9}\n€end"));
+        assert_eq!(parsed.get("t").and_then(JsonValue::as_str), Some(""));
+        assert_eq!(parsed.get("u").and_then(JsonValue::as_str), Some("π"));
+        assert!(parse_value(r#""unterminated→"#).is_err());
+    }
+
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        // Request bodies carry whole task graphs as one string, so string
+        // parsing must stay linear: a quadratic scan would take hours here.
+        let long: String = "task a→b ".repeat(1 << 17);
+        let doc = format!("{{\"graph\":\"{long}\"}}");
+        let parsed = parse_value(&doc).unwrap();
+        assert_eq!(parsed.get("graph").and_then(JsonValue::as_str), Some(long.as_str()));
     }
 
     #[test]
