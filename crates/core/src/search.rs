@@ -239,7 +239,10 @@ pub struct ExploreParams {
     pub solver_threads: usize,
     /// Dominance-memoization table bound for the structured backend
     /// (`0` disables; [`crate::structured::DEFAULT_MEMO_LIMIT`] by
-    /// default). Only node counts change with this knob, never results.
+    /// default). A window that finishes within its budget decides the
+    /// same way at any bound, only its node count changes; a window that
+    /// ends on its budget can end differently, because the memo moves
+    /// where the budget falls.
     pub memo_limit: usize,
     /// Cooperative cancellation latch, polled wherever the time budget is
     /// (phase loops, the structured solver's node cadence, the milp

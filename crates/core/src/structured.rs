@@ -15,7 +15,6 @@ use crate::arch::{Architecture, EnvMemoryPolicy};
 use crate::solution::{Placement, Solution};
 use rtr_graph::{TaskGraph, TaskId};
 use rtr_trace::CancelFlag;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -243,6 +242,9 @@ pub struct StructuredSolver<'g> {
     memo_scope: Vec<Vec<usize>>,
     /// Bound on dominance-memo entries (0 disables memoization).
     memo_limit: usize,
+    /// Relative-depth bucket of each level (see
+    /// [`SearchStats::nodes_by_depth`]).
+    depth_buckets: Vec<u8>,
     /// Warm-start hint: a (typically incumbent) placement tried first at
     /// every node.
     hint: Option<Vec<Placement>>,
@@ -265,40 +267,189 @@ fn assert_thread_safe() {
     sync_and_send::<SearchStats>();
 }
 
-/// One fully-explored state recorded in the dominance memo: a float vector
-/// (componentwise `≤` means "at least as good") plus the value `proven`,
-/// with the claim *"this state has no in-window completion with total
-/// latency `< proven − 1e-9`"*.
-struct MemoEntry {
-    dom: Vec<f64>,
-    proven: f64,
-}
-
 /// Per-search (per-worker under [`StructuredSolver::run_parallel`])
-/// dominance-memoization table. Keyed on the discrete part of a search
-/// state; each bucket holds float vectors of states already explored to
-/// completion at that key.
+/// dominance-memoization table: one open-addressing hash table per
+/// assignment level, keyed on the discrete part of a state's signature
+/// (the level itself is implicit). Each bucket stores, flat, the rows of
+/// up to [`MEMO_BUCKET_CAP`] states already explored to completion under
+/// its key. A row is `[proven, sum, dom…]`: `dom` is the float part
+/// (componentwise `≤` means "at least as good"), `sum` its sum in one
+/// fixed order, and `proven` the claim *"this state has no in-window
+/// completion with total latency `< proven − 1e-9`"*.
+///
+/// A state probes its level once on entry ([`MemoTable::probe`]) and
+/// inserts on exit with that probe ([`MemoTable::insert`]). The subtree
+/// in between only touches deeper levels, so the bucket the probe scanned
+/// — and the empty slot it found for a missing key — are still exact at
+/// the exit.
 struct MemoTable {
-    map: HashMap<Vec<u32>, Vec<MemoEntry>>,
+    levels: Vec<MemoLevel>,
     entries: usize,
     limit: usize,
 }
 
+/// One level of a [`MemoTable`].
+#[derive(Default)]
+struct MemoLevel {
+    /// Open-addressing index with linear probing: `0` is an empty slot,
+    /// anything else a bucket index plus one. A power of two long and at
+    /// most half full.
+    slots: Vec<u32>,
+    /// The buckets' keys, back to back (every key at a level has the same
+    /// width).
+    keys: Vec<u32>,
+    /// The buckets' key hashes, so growing the index rehashes nothing.
+    hashes: Vec<u64>,
+    /// Each bucket's rows, back to back in one vector.
+    rows: Vec<Vec<f64>>,
+}
+
+/// What one probe learned about a state the memo did not prune, kept
+/// until the state's exit.
+struct MemoProbe {
+    hash: u64,
+    /// The slot holding the key's bucket, or the empty slot a new bucket
+    /// for the key would take.
+    slot: usize,
+    bucket: Option<usize>,
+    /// Bit `i`: row `i` is componentwise `≤` the state.
+    covers: u32,
+    /// Bit `i`: the state is componentwise `≤` row `i`.
+    covered: u32,
+}
+
+/// Multiplicative hash of a memo key (the FxHash step), deterministic
+/// across runs and platforms. The slot is taken from the high bits. Keys
+/// are search state (partition and design-point indices), not outside
+/// input, so an unkeyed hash is safe.
+fn memo_hash(key: &[u32]) -> u64 {
+    key.iter()
+        .fold(0u64, |h, &k| (h.rotate_left(5) ^ u64::from(k)).wrapping_mul(0x517c_c1b7_2722_0a95))
+}
+
+/// Componentwise `(a ≤ b, b ≤ a)` of two equally long rows `[_, sum, dom…]`.
+/// IEEE addition is monotone, so `a ≤ b` componentwise implies
+/// `Σa ≤ Σb` for one fixed summation order: a strict sum inequality rules
+/// one direction out before any component is read.
+#[inline]
+fn memo_compare(a: &[f64], b: &[f64]) -> (bool, bool) {
+    let (da, db) = (&a[2..], &b[2..]);
+    if a[1] < b[1] {
+        (da.iter().zip(db).all(|(x, y)| x <= y), false)
+    } else if a[1] > b[1] {
+        (false, db.iter().zip(da).all(|(x, y)| x <= y))
+    } else {
+        let (mut le, mut ge) = (true, true);
+        for (x, y) in da.iter().zip(db) {
+            le &= x <= y;
+            ge &= y <= x;
+            if !(le || ge) {
+                break;
+            }
+        }
+        (le, ge)
+    }
+}
+
+impl MemoLevel {
+    /// The slot of `key`'s bucket, or the empty slot where it would go.
+    fn find(&self, hash: u64, key: &[u32]) -> (usize, Option<usize>) {
+        if self.slots.is_empty() {
+            return (0, None);
+        }
+        let mask = self.slots.len() - 1;
+        let width = key.len();
+        let mut s = (hash >> 32) as usize & mask;
+        loop {
+            match self.slots[s] {
+                0 => return (s, None),
+                v => {
+                    let b = v as usize - 1;
+                    if self.hashes[b] == hash && self.keys[b * width..(b + 1) * width] == *key {
+                        return (s, Some(b));
+                    }
+                }
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// Adds a bucket for `key` holding `row`. `slot` is the empty slot
+    /// [`find`](Self::find) returned, valid unless the index must grow.
+    fn add_bucket(&mut self, hash: u64, slot: usize, key: &[u32], row: Vec<f64>) {
+        let b = self.rows.len();
+        let slot = if 2 * (b + 1) > self.slots.len() {
+            let size = (2 * self.slots.len()).max(16);
+            self.slots = vec![0; size];
+            for (i, &h) in self.hashes.iter().enumerate() {
+                let s = self.empty_slot(h);
+                self.slots[s] = i as u32 + 1;
+            }
+            self.empty_slot(hash)
+        } else {
+            slot
+        };
+        self.slots[slot] = b as u32 + 1;
+        self.keys.extend_from_slice(key);
+        self.hashes.push(hash);
+        self.rows.push(row);
+    }
+
+    fn empty_slot(&self, hash: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut s = (hash >> 32) as usize & mask;
+        while self.slots[s] != 0 {
+            s = (s + 1) & mask;
+        }
+        s
+    }
+}
+
 impl MemoTable {
-    fn new(limit: usize) -> Self {
-        MemoTable { map: HashMap::new(), entries: 0, limit }
+    fn new(limit: usize, levels: usize) -> Self {
+        MemoTable { levels: (0..levels).map(|_| MemoLevel::default()).collect(), entries: 0, limit }
     }
 
-    /// `true` if some recorded state dominates `(key, dom)` closely enough
-    /// that exploring the current state cannot improve on `best_now`: the
-    /// entry's completions are a superset with no larger totals, and none
-    /// of them beats `entry.proven`, which `best_now` already matches.
-    fn dominated(&self, key: &[u32], dom: &[f64], best_now: f64) -> bool {
-        let Some(bucket) = self.map.get(key) else { return false };
-        bucket.iter().any(|e| best_now <= e.proven && e.dom.iter().zip(dom).all(|(a, b)| *a <= *b))
+    /// Scans the bucket of state `(key, row)` at `level` once. Returns
+    /// `None` if some row dominates the state closely enough that
+    /// exploring it cannot improve on `best_now`: the row's completions
+    /// are a superset with no larger totals, and none of them beats the
+    /// row's `proven`, which `best_now` already matches. Otherwise returns
+    /// the probe [`insert`](Self::insert) needs at the state's exit.
+    fn probe(&self, level: usize, key: &[u32], row: &[f64], best_now: f64) -> Option<MemoProbe> {
+        let lvl = &self.levels[level];
+        let hash = memo_hash(key);
+        let (slot, bucket) = lvl.find(hash, key);
+        let mut probe = MemoProbe { hash, slot, bucket, covers: 0, covered: 0 };
+        if let Some(b) = bucket {
+            for (i, e) in lvl.rows[b].chunks_exact(row.len()).enumerate() {
+                let (covers, covered) = memo_compare(e, row);
+                if covers {
+                    if best_now <= e[0] {
+                        return None;
+                    }
+                    probe.covers |= 1 << i;
+                }
+                if covered {
+                    probe.covered |= 1 << i;
+                }
+            }
+        }
+        Some(probe)
     }
 
-    fn insert(&mut self, key: Vec<u32>, dom: Vec<f64>, proven: f64) {
+    /// Records the fully explored state `(key, row)` with bound `proven`,
+    /// using the probe taken at its entry: skips it if a row covering it
+    /// proves as much, drops the rows it covers with no stronger proof,
+    /// and keeps at most [`MEMO_BUCKET_CAP`] rows per bucket.
+    fn insert(
+        &mut self,
+        level: usize,
+        probe: &MemoProbe,
+        key: &[u32],
+        row: &mut [f64],
+        proven: f64,
+    ) {
         if self.limit == 0 || self.entries >= self.limit {
             return;
         }
@@ -307,24 +458,49 @@ impl MemoTable {
         if rtr_trace::failpoint::failpoint("structured.memo_insert", proven.to_bits()) {
             return;
         }
-        let bucket = self.map.entry(key).or_default();
-        // Skip states an existing entry already covers; drop entries the
-        // new one covers (prunes at least as often).
-        if bucket
-            .iter()
-            .any(|e| e.proven >= proven && e.dom.iter().zip(&dom).all(|(a, b)| *a <= *b))
-        {
+        row[0] = proven;
+        let lvl = &mut self.levels[level];
+        let Some(b) = probe.bucket else {
+            lvl.add_bucket(probe.hash, probe.slot, key, row.to_vec());
+            self.entries += 1;
+            return;
+        };
+        let width = row.len();
+        let rows = &mut lvl.rows[b];
+        let proven_of = |i: usize| rows[i * width];
+        if bits(probe.covers).any(|i| proven_of(i) >= proven) {
             return;
         }
-        let before = bucket.len();
-        bucket.retain(|e| !(proven >= e.proven && dom.iter().zip(&e.dom).all(|(a, b)| *a <= *b)));
-        self.entries -= before - bucket.len();
-        if bucket.len() >= MEMO_BUCKET_CAP {
+        let drop =
+            bits(probe.covered).filter(|&i| proven >= proven_of(i)).fold(0u32, |m, i| m | 1 << i);
+        if drop != 0 {
+            let mut kept = 0;
+            for i in 0..rows.len() / width {
+                if drop & (1 << i) == 0 {
+                    rows.copy_within(i * width..(i + 1) * width, kept * width);
+                    kept += 1;
+                }
+            }
+            self.entries -= rows.len() / width - kept;
+            rows.truncate(kept * width);
+        }
+        if rows.len() / width >= MEMO_BUCKET_CAP {
             return;
         }
-        bucket.push(MemoEntry { dom, proven });
+        rows.extend_from_slice(row);
         self.entries += 1;
     }
+}
+
+/// The indices of the set bits of `mask`, ascending.
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 /// State shared by the workers of [`StructuredSolver::run_parallel`].
@@ -403,11 +579,13 @@ struct State<'s> {
     start: Instant,
     /// Memory-delta undo stack (frames delimited by [`Undo::touched_from`]).
     touched: Vec<(usize, u64)>,
-    /// Per-level candidate buffers: `(bound key, enumeration seq, p, m)`.
-    cand: Vec<Vec<(f64, u32, u32, u32)>>,
+    /// Per-level candidate buffers, packed for one integer sort (see
+    /// [`StructuredSolver::dfs`]).
+    cand: Vec<Vec<u128>>,
     memo: MemoTable,
-    key_buf: Vec<u32>,
-    dom_buf: Vec<f64>,
+    /// Per-level dominance signatures, built on a state's entry and kept
+    /// for its exit.
+    sigs: Vec<MemoSig>,
     /// `Some(depth)`: collect surviving prefixes of `depth` assignments
     /// into `jobs` instead of descending past them (job generation).
     gen_depth: Option<usize>,
@@ -420,6 +598,14 @@ struct State<'s> {
     /// Counter values already pushed to the live status board; the next
     /// publication sends only the delta (see [`publish_status`]).
     published: StatusPublished,
+}
+
+/// One level's dominance signature (see
+/// [`StructuredSolver::build_signature`]).
+#[derive(Clone, Default)]
+struct MemoSig {
+    key: Vec<u32>,
+    row: Vec<f64>,
 }
 
 /// Status-board counter values already published for one [`State`].
@@ -672,6 +858,7 @@ impl<'g> StructuredSolver<'g> {
             suffix_path_ns,
             memo_scope,
             memo_limit: DEFAULT_MEMO_LIMIT,
+            depth_buckets: (0..count).map(|i| (i * DEPTH_BUCKETS / count) as u8).collect(),
             hint: None,
             cancel: CancelFlag::new(),
         }
@@ -689,8 +876,11 @@ impl<'g> StructuredSolver<'g> {
     /// Caps the dominance-memoization table at `limit` entries
     /// ([`DEFAULT_MEMO_LIMIT`] unless overridden); `0` disables
     /// memoization entirely. Memoization only ever prunes states proven
-    /// unable to improve the incumbent, so the returned solution and
-    /// outcome are identical at any limit — only the node count changes.
+    /// unable to improve the incumbent, so a search that finishes within
+    /// its limits returns the same solution and outcome at any limit —
+    /// only the node count changes. A search that hits its node or time
+    /// limit is not covered: the nodes it saves or spends move where the
+    /// limit falls, so its best-effort result can differ.
     pub fn with_memo_limit(mut self, limit: usize) -> Self {
         self.memo_limit = limit;
         self
@@ -765,9 +955,8 @@ impl<'g> StructuredSolver<'g> {
             start,
             touched: Vec::new(),
             cand: vec![Vec::new(); count],
-            memo: MemoTable::new(self.memo_limit),
-            key_buf: Vec::new(),
-            dom_buf: Vec::new(),
+            memo: MemoTable::new(self.memo_limit, count),
+            sigs: vec![MemoSig::default(); count],
             gen_depth: None,
             jobs: Vec::new(),
             shared: None,
@@ -781,7 +970,7 @@ impl<'g> StructuredSolver<'g> {
     /// (see [`SearchStats::nodes_by_depth`]).
     #[inline]
     fn depth_bucket(&self, idx: usize) -> usize {
-        (idx * DEPTH_BUCKETS / self.order.len().max(1)).min(DEPTH_BUCKETS - 1)
+        usize::from(self.depth_buckets[idx])
     }
 
     /// Runs the search.
@@ -821,42 +1010,47 @@ impl<'g> StructuredSolver<'g> {
         st.gen_depth.is_none() && self.memo_limit > 0 && idx >= 1 && self.order.len() - idx >= 4
     }
 
-    /// Fills `st.key_buf` (discrete part) and `st.dom_buf` (float part,
-    /// componentwise `≤` = at-least-as-good) with the dominance signature of
-    /// the current state at level `idx`. Only quantities a subtree below
-    /// `idx` can observe participate: the open-task scope's partitions and
-    /// chains, the symmetry anchor, and the per-partition loads. The
-    /// admissible-bound inputs (`gdepth`, `chain_lb_max`) are deliberately
-    /// excluded — they only tighten pruning, never completion totals.
-    fn build_memo_key(&self, idx: usize, st: &mut State) {
+    /// Builds the dominance signature of the current state at level `idx`
+    /// into `st.sigs[idx]`: the key is the discrete part, the row
+    /// `[proven, sum, dom…]` carries the float part (componentwise `≤` =
+    /// at-least-as-good) and its sum, with `proven` filled in at insert.
+    /// Only quantities a subtree below `idx` can observe participate: the
+    /// open-task scope's partitions and chains, the symmetry anchor, and
+    /// the per-partition loads. The admissible-bound inputs (`gdepth`,
+    /// `chain_lb_max`) are deliberately excluded — they only tighten
+    /// pruning, never completion totals.
+    fn build_signature(&self, idx: usize, st: &mut State) {
         let ti = self.order[idx].index();
-        st.key_buf.clear();
-        st.key_buf.push(idx as u32);
-        st.key_buf.push(st.max_part);
+        let scope = &self.memo_scope[idx];
+        let sig = &mut st.sigs[idx];
+        sig.key.clear();
+        sig.key.push(st.max_part);
         match self.group_prev[ti] {
             // `dpc + 1` so the anchor can never collide with "no anchor".
-            Some(prev) => {
-                st.key_buf.push(st.part[prev]);
-                st.key_buf.push(st.dpc[prev] as u32 + 1);
-            }
-            None => {
-                st.key_buf.push(0);
-                st.key_buf.push(0);
-            }
+            Some(prev) => sig.key.extend([st.part[prev], st.dpc[prev] as u32 + 1]),
+            None => sig.key.extend([0, 0]),
         }
-        for &q in &self.memo_scope[idx] {
-            st.key_buf.push(st.part[q]);
-        }
-        st.dom_buf.clear();
-        st.dom_buf.extend_from_slice(&st.d_part_ns);
-        st.dom_buf.extend(st.area_used.iter().map(|&a| a as f64));
+        sig.key.extend(scope.iter().map(|&q| st.part[q]));
+        sig.row.clear();
+        sig.row.extend([0.0, 0.0]);
+        sig.row.extend_from_slice(&st.d_part_ns);
+        sig.row.extend(st.area_used.iter().map(|&a| a as f64));
         for per_partition in &st.sec_used {
-            st.dom_buf.extend(per_partition.iter().map(|&u| u as f64));
+            sig.row.extend(per_partition.iter().map(|&u| u as f64));
         }
-        st.dom_buf.extend(st.mem.iter().map(|&m| m as f64));
-        for &q in &self.memo_scope[idx] {
-            st.dom_buf.push(st.chain_ns[q]);
+        sig.row.extend(st.mem.iter().map(|&m| m as f64));
+        sig.row.extend(scope.iter().map(|&q| st.chain_ns[q]));
+        // Four running sums break the dependency chain of one; any fixed
+        // order serves `memo_compare`'s monotonicity argument.
+        let mut lanes = [0.0f64; 4];
+        let dom = sig.row[2..].chunks_exact(4);
+        let tail = dom.remainder().iter().fold(0.0, |sum, &x| sum + x);
+        for c in dom {
+            for (lane, &x) in lanes.iter_mut().zip(c) {
+                *lane += x;
+            }
         }
+        sig.row[1] = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail;
     }
 
     /// Returns `true` to abort the whole search (first-feasible found, or a
@@ -910,22 +1104,41 @@ impl<'g> StructuredSolver<'g> {
             return false;
         }
 
-        let memo_here = self.memo_active(idx, st);
-        if memo_here {
-            self.build_memo_key(idx, st);
+        // One memo probe per state: the signature and the bucket scan
+        // taken here also serve the insert at this state's exit, because
+        // undo restores the state exactly and deeper levels never touch
+        // this level's table.
+        let probe = if self.memo_active(idx, st) {
+            self.build_signature(idx, st);
             let best_now = st.best.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
-            if st.memo.dominated(&st.key_buf, &st.dom_buf, best_now) {
-                st.stats.dominance_prunes += 1;
-                st.stats.prunes_by_depth[self.depth_bucket(idx)] += 1;
-                return false;
+            let sig = &st.sigs[idx];
+            match st.memo.probe(idx, &sig.key, &sig.row, best_now) {
+                Some(probe) => Some(probe),
+                None => {
+                    st.stats.dominance_prunes += 1;
+                    st.stats.prunes_by_depth[self.depth_bucket(idx)] += 1;
+                    return false;
+                }
             }
-        }
+        } else {
+            None
+        };
 
         let t = self.order[idx];
         let ti = t.index();
         let task = &self.graph.tasks()[ti];
-        let p_min =
-            self.graph.predecessors(t).iter().map(|q| st.part[q.index()]).max().unwrap_or(1).max(1);
+        // The latest predecessor partition, and the longest chain ending
+        // there: only that partition can chain with predecessors (every
+        // predecessor lives at a partition `≤ p_min`).
+        let (mut p_min, mut chain_pmin) = (1, 0.0f64);
+        for &(q, _) in &self.pred_edges[ti] {
+            let pq = st.part[q];
+            if pq > p_min {
+                (p_min, chain_pmin) = (pq, st.chain_ns[q]);
+            } else if pq == p_min {
+                chain_pmin = chain_pmin.max(st.chain_ns[q]);
+            }
+        }
         // Symmetry breaking: within an interchangeable group, (partition,
         // design point) must be lexicographically non-decreasing.
         let sym_floor = self.group_prev[ti].map(|prev| (st.part[prev], st.dpc[prev]));
@@ -957,24 +1170,18 @@ impl<'g> StructuredSolver<'g> {
         // Candidate ordering: try cheap assignments first so the incumbent
         // closes early. The key is the exact objective increment — the
         // partition-latency growth plus `C_T` times the partition-count
-        // growth; only the `p_min` partition can chain with predecessors
-        // (every predecessor lives at a partition `≤ p_min`), so the chain
-        // contribution is known without applying the assignment. Enumeration
-        // order breaks ties, which keeps the order deterministic.
-        let chain_pmin = self
-            .graph
-            .predecessors(t)
-            .iter()
-            .filter(|q| st.part[q.index()] == p_min)
-            .map(|q| st.chain_ns[q.index()])
-            .fold(0.0f64, f64::max);
+        // growth; only the `p_min` partition can chain with predecessors, so
+        // the chain contribution is known without applying the assignment.
+        // Enumeration order `(p, k)` — `k` indexing `dp_order` — breaks
+        // ties, which keeps the order deterministic. Each candidate packs
+        // as `key bits · 2^64 + p · 2^32 + k`: the key is never negative,
+        // so its bits sort like the number, and one integer sort orders
+        // by key, then enumeration.
         let mut cand = std::mem::take(&mut st.cand[idx]);
         cand.clear();
-        let mut seq = 0u32;
         for p in p_min..=self.n {
             let pi = (p - 1) as usize;
-            for &m in &self.dp_order[ti] {
-                seq += 1;
+            for (k, &m) in self.dp_order[ti].iter().enumerate() {
                 if Some((p, m)) == hint_pair {
                     continue;
                 }
@@ -987,13 +1194,15 @@ impl<'g> StructuredSolver<'g> {
                 let base = if p == p_min { chain_pmin } else { 0.0 };
                 let delta_d = st.d_part_ns[pi].max(base + dp.latency().as_ns()) - st.d_part_ns[pi];
                 let eta_delta = f64::from(p.max(st.max_part) - st.max_part);
-                cand.push((delta_d + self.ct_ns() * eta_delta, seq, p, m as u32));
+                let key = (delta_d + self.ct_ns() * eta_delta).to_bits();
+                cand.push(u128::from(key) << 64 | u128::from(p) << 32 | k as u128);
             }
         }
-        cand.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        cand.sort_unstable();
         let mut aborted = false;
-        for &(_, _, p, m) in &cand {
-            if let Some(true) = self.try_candidate(idx, t, p, m as usize, st) {
+        for &c in &cand {
+            let (p, k) = ((c >> 32) as u32, c as u32 as usize);
+            if let Some(true) = self.try_candidate(idx, t, p, self.dp_order[ti][k], st) {
                 aborted = true;
                 break;
             }
@@ -1006,17 +1215,14 @@ impl<'g> StructuredSolver<'g> {
         // Fully explored without a limit firing: record the dominance entry.
         // `proven` is the tightest incumbent this exploration pruned against
         // — nothing below this state beats it by more than the tolerance.
-        if memo_here {
-            // The buffers were clobbered by deeper levels; rebuild them.
-            self.build_memo_key(idx, st);
+        if let Some(probe) = probe {
             let local = st.best.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
             let shared_best = st
                 .shared
                 .map(|sh| f64::from_bits(sh.incumbent_bits.load(Ordering::Relaxed)))
                 .unwrap_or(f64::INFINITY);
-            let key = st.key_buf.clone();
-            let dom = st.dom_buf.clone();
-            st.memo.insert(key, dom, local.min(shared_best));
+            let sig = &mut st.sigs[idx];
+            st.memo.insert(idx, &probe, &sig.key, &mut sig.row, local.min(shared_best));
         }
         false
     }
@@ -1133,25 +1339,30 @@ impl<'g> StructuredSolver<'g> {
         }
         // Area look-ahead: remaining minimum areas (excluding t) must
         // fit in the total free area.
-        let free_total: u64 = (0..self.n as usize)
-            .map(|q| self.arch.resource_capacity().units() - st.area_used[q])
-            .sum::<u64>()
-            - dp.area().units();
+        let cap = self.arch.resource_capacity().units();
+        // `total_area` is the sum of `area_used`; wrapping arithmetic
+        // yields `Σ_q (cap − used_q) − area` exactly, as that never
+        // underflows.
+        let free_total = u64::from(self.n)
+            .wrapping_mul(cap)
+            .wrapping_sub(st.total_area)
+            .wrapping_sub(dp.area().units());
         if self.suffix_min_area[idx + 1] > free_total {
             st.stats.area_prunes += 1;
             st.stats.prunes_by_depth[self.depth_bucket(idx)] += 1;
             return Step::Rejected;
         }
 
-        // Latency bookkeeping.
-        let chain = dp.latency().as_ns()
-            + self
-                .graph
-                .predecessors(t)
-                .iter()
-                .filter(|q| st.part[q.index()] == p)
-                .map(|q| st.chain_ns[q.index()])
-                .fold(0.0f64, f64::max);
+        // Latency bookkeeping: one pass over the predecessors yields the
+        // longest same-partition chain and the longest assigned path.
+        let (mut chain_in, mut gdepth_in) = (0.0f64, 0.0f64);
+        for &(q, _) in &self.pred_edges[ti] {
+            if st.part[q] == p {
+                chain_in = chain_in.max(st.chain_ns[q]);
+            }
+            gdepth_in = gdepth_in.max(st.gdepth_ns[q]);
+        }
+        let chain = dp.latency().as_ns() + chain_in;
         let new_d = st.d_part_ns[pi].max(chain);
         let delta_d = new_d - st.d_part_ns[pi];
         let new_sum = st.sum_d_ns + delta_d;
@@ -1159,15 +1370,18 @@ impl<'g> StructuredSolver<'g> {
         // Admissible chain bound: the longest assigned-latency path ending
         // at t plus the cheapest possible completion below it; tracked as a
         // running max because it is monotone along a path.
-        let gdepth = dp.latency().as_ns()
-            + self.pred_edges[ti].iter().map(|&(q, _)| st.gdepth_ns[q]).fold(0.0f64, f64::max);
+        let gdepth = dp.latency().as_ns() + gdepth_in;
         let chain_track = st.chain_lb_max.max(gdepth + self.tail_after_ns[ti]);
         // η lower bound: partitions already opened, or however many the
         // committed area plus the cheapest remaining areas must occupy.
-        let eta_lb = new_max_part.max(crate::bounds::min_partitions_for_area(
-            st.total_area + dp.area().units() + self.suffix_min_area[idx + 1],
-            self.arch.resource_capacity().units(),
-        ));
+        // (The division only runs when the area floor can exceed the
+        // partitions already opened.)
+        let area_floor = st.total_area + dp.area().units() + self.suffix_min_area[idx + 1];
+        let eta_lb = if area_floor <= u64::from(new_max_part).saturating_mul(cap) {
+            new_max_part
+        } else {
+            new_max_part.max(crate::bounds::min_partitions_for_area(area_floor, cap))
+        };
         let lb = new_sum.max(chain_track).max(self.suffix_path_ns[idx + 1])
             + self.ct_ns() * f64::from(eta_lb);
         if lb > self.d_max_ns + 1e-9 {
@@ -1222,16 +1436,22 @@ impl<'g> StructuredSolver<'g> {
                     }
                 }
                 if self.arch.env_policy() == EnvMemoryPolicy::Resident {
-                    for b in 2..=p {
-                        if !add(b, task.env_input(), st) {
-                            mem_ok = false;
-                            break 'mem;
+                    // `add` ignores zero amounts, so a task without host
+                    // I/O skips its boundary loops.
+                    if task.env_input() > 0 {
+                        for b in 2..=p {
+                            if !add(b, task.env_input(), st) {
+                                mem_ok = false;
+                                break 'mem;
+                            }
                         }
                     }
-                    for b in (p + 1)..=self.n {
-                        if !add(b, task.env_output(), st) {
-                            mem_ok = false;
-                            break 'mem;
+                    if task.env_output() > 0 {
+                        for b in (p + 1)..=self.n {
+                            if !add(b, task.env_output(), st) {
+                                mem_ok = false;
+                                break 'mem;
+                            }
                         }
                     }
                 }
@@ -1657,6 +1877,7 @@ mod tests {
     use super::*;
     use crate::validate::validate_solution;
     use rtr_graph::{Area, DesignPoint, Latency, TaskGraphBuilder};
+    use std::collections::HashMap;
 
     fn dp(name: &str, area: u64, lat: f64) -> DesignPoint {
         DesignPoint::new(name, Area::new(area), Latency::from_ns(lat))
@@ -1889,6 +2110,139 @@ mod tests {
             stats.nodes
         );
         assert!(!stats.exhausted, "a 500-node budget cannot exhaust this tree");
+    }
+
+    /// One fully-explored state recorded in [`ReferenceMemo`].
+    struct MemoEntry {
+        dom: Vec<f64>,
+        proven: f64,
+    }
+
+    /// The dominance memo before the one-probe protocol: a map from the
+    /// full key (level first) to entries, rescanned by every call.
+    /// [`MemoTable`] must match it answer for answer.
+    struct ReferenceMemo {
+        map: HashMap<Vec<u32>, Vec<MemoEntry>>,
+        entries: usize,
+        limit: usize,
+    }
+
+    impl ReferenceMemo {
+        fn dominated(&self, key: &[u32], dom: &[f64], best_now: f64) -> bool {
+            let Some(bucket) = self.map.get(key) else { return false };
+            bucket
+                .iter()
+                .any(|e| best_now <= e.proven && e.dom.iter().zip(dom).all(|(a, b)| *a <= *b))
+        }
+
+        fn insert(&mut self, key: Vec<u32>, dom: Vec<f64>, proven: f64) {
+            if self.limit == 0 || self.entries >= self.limit {
+                return;
+            }
+            if rtr_trace::failpoint::failpoint("structured.memo_insert", proven.to_bits()) {
+                return;
+            }
+            let bucket = self.map.entry(key).or_default();
+            if bucket
+                .iter()
+                .any(|e| e.proven >= proven && e.dom.iter().zip(&dom).all(|(a, b)| *a <= *b))
+            {
+                return;
+            }
+            let before = bucket.len();
+            bucket
+                .retain(|e| !(proven >= e.proven && dom.iter().zip(&e.dom).all(|(a, b)| *a <= *b)));
+            self.entries -= before - bucket.len();
+            if bucket.len() >= MEMO_BUCKET_CAP {
+                return;
+            }
+            bucket.push(MemoEntry { dom, proven });
+            self.entries += 1;
+        }
+    }
+
+    /// Stored rows by full key (level first), rows in bucket order.
+    type MemoContents = Vec<(Vec<u32>, Vec<(Vec<f64>, f64)>)>;
+
+    /// Drives seeded random probe/insert sequences through [`MemoTable`]
+    /// and [`ReferenceMemo`] in DFS discipline — a state is entered below
+    /// every open one and inserted when it closes — and demands identical
+    /// prune answers, entry counts and stored rows.
+    #[test]
+    fn one_probe_memo_matches_the_rescanning_reference() {
+        use rtr_workloads::rng::Rng;
+        const LEVELS: usize = 6;
+        // Two-valued key words make a small key set; three-valued loads
+        // make dominance ties common.
+        let key_len = |level: usize| 1 + level % 3;
+        let row_len = |level: usize| 2 + 3 + level % 2;
+        let bounds = [1.0, 2.0, 2.0, 3.0, f64::INFINITY];
+        let pick = |rng: &mut Rng| bounds[rng.range_usize(0, bounds.len() - 1)];
+        let full_key = |level: usize, key: &[u32]| {
+            let mut full = vec![level as u32];
+            full.extend_from_slice(key);
+            full
+        };
+        for (seed, limit) in [(1u64, DEFAULT_MEMO_LIMIT), (2, DEFAULT_MEMO_LIMIT), (3, 40), (4, 7)]
+        {
+            let mut rng = Rng::new(seed);
+            let mut memo = MemoTable::new(limit, LEVELS);
+            let mut reference = ReferenceMemo { map: HashMap::new(), entries: 0, limit };
+            let mut open: Vec<(usize, Vec<u32>, Vec<f64>, MemoProbe)> = Vec::new();
+            let (mut prunes, mut full_buckets, mut at_limit) = (0, 0, 0);
+            for step in 0..20_000 {
+                let below = open.last().map_or(0, |o| o.0 + 1);
+                if below < LEVELS && (open.is_empty() || rng.range_u64(0, 1) == 0) {
+                    let level = rng.range_usize(below, LEVELS - 1);
+                    let key: Vec<u32> =
+                        (0..key_len(level)).map(|_| rng.range_u64(0, 1) as u32).collect();
+                    let mut row: Vec<f64> =
+                        (0..row_len(level)).map(|_| rng.range_u64(0, 2) as f64).collect();
+                    row[1] = row[2..].iter().fold(0.0, |sum, &x| sum + x);
+                    let best_now = pick(&mut rng);
+                    let pruned = reference.dominated(&full_key(level, &key), &row[2..], best_now);
+                    let probe = memo.probe(level, &key, &row, best_now);
+                    assert_eq!(probe.is_none(), pruned, "seed {seed} step {step}: prune answer");
+                    match probe {
+                        Some(probe) => open.push((level, key, row, probe)),
+                        None => prunes += 1,
+                    }
+                } else if let Some((level, key, mut row, probe)) = open.pop() {
+                    let proven = pick(&mut rng);
+                    reference.insert(full_key(level, &key), row[2..].to_vec(), proven);
+                    memo.insert(level, &probe, &key, &mut row, proven);
+                    assert_eq!(memo.entries, reference.entries, "seed {seed} step {step}: entries");
+                    full_buckets +=
+                        usize::from(reference.map.values().any(|b| b.len() == MEMO_BUCKET_CAP));
+                    at_limit += usize::from(reference.entries == limit);
+                }
+            }
+            let mut stored: MemoContents = Vec::new();
+            for (level, lvl) in memo.levels.iter().enumerate() {
+                let (kl, width) = (key_len(level), row_len(level));
+                for (b, rows) in lvl.rows.iter().enumerate() {
+                    let rows = rows.chunks_exact(width).map(|r| (r[2..].to_vec(), r[0])).collect();
+                    stored.push((full_key(level, &lvl.keys[b * kl..(b + 1) * kl]), rows));
+                }
+            }
+            let mut expected: MemoContents = reference
+                .map
+                .iter()
+                .filter(|(_, bucket)| !bucket.is_empty())
+                .map(|(key, bucket)| {
+                    (key.clone(), bucket.iter().map(|e| (e.dom.clone(), e.proven)).collect())
+                })
+                .collect();
+            stored.sort_by(|a, b| a.0.cmp(&b.0));
+            expected.sort_by(|a, b| a.0.cmp(&b.0));
+            assert_eq!(stored, expected, "seed {seed}: stored rows");
+            assert!(prunes > 0, "seed {seed}: no prune exercised");
+            if limit == DEFAULT_MEMO_LIMIT {
+                assert!(full_buckets > 0, "seed {seed}: the bucket cap was never reached");
+            } else {
+                assert!(at_limit > 0, "seed {seed}: the entry limit was never reached");
+            }
+        }
     }
 
     #[test]

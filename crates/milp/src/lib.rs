@@ -67,4 +67,4 @@ pub use simplex::{
     resolve_lp, resolve_lp_with_deadline, solve_lp, solve_lp_with_deadline, Basis, LpOutcome,
     LpStatus, VarStatus,
 };
-pub use solution::{Outcome, Solution, SolveOptions, SolveStats, Status};
+pub use solution::{Goal, Outcome, Solution, SolveOptions, SolveStats, Status};

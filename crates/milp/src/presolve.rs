@@ -322,10 +322,18 @@ pub fn presolve(model: &Model) -> PresolveOutcome {
         return PresolveOutcome::Infeasible;
     }
 
-    // Write back bounds and surviving rows.
+    // Write back bounds and surviving rows. Propagation returned
+    // `Infeasible` for any crossing wider than `TOL` but accepts narrower
+    // ones (rounding in the implied-bound division); the simplex rejects
+    // every crossed pair, so such a pair becomes the point between them.
     for (j, v) in m.vars.iter_mut().enumerate() {
-        v.lower = lb[j];
-        v.upper = ub[j];
+        let (lo, hi) = (lb[j], ub[j]);
+        (v.lower, v.upper) = if lo > hi {
+            let mid = 0.5 * (lo + hi);
+            (mid, mid)
+        } else {
+            (lo, hi)
+        };
     }
     let survivors: Vec<Constraint> =
         m.constraints.iter().zip(&alive).filter(|(_, &a)| a).map(|(c, _)| c.clone()).collect();
@@ -624,6 +632,35 @@ mod tests {
             }
             PresolveOutcome::Infeasible => panic!("feasible model"),
         }
+    }
+
+    #[test]
+    fn bounds_crossed_by_rounding_become_a_point() {
+        // `0.1·x ≤ 0.3` and `0.3·x ≥ 0.9` both say `x = 3`, but the implied
+        // bounds `0.3 / 0.1` and `0.9 / 0.3` round to adjacent doubles with
+        // the lower one above the upper one.
+        let (hi, lo) = (0.3f64 / 0.1, 0.9f64 / 0.3);
+        assert!(lo > hi && lo <= hi + 1e-9, "the rows must cross by rounding only");
+        let crossed = |ge_rhs: f64| {
+            let mut m = Model::new();
+            let x = m.add_var(Variable::continuous(0.0, 10.0));
+            m.add_constraint(Constraint::new(LinExpr::new() + (0.1, x), Rel::Le, 0.3));
+            m.add_constraint(Constraint::new(LinExpr::new() + (0.3, x), Rel::Ge, ge_rhs));
+            presolve(&m)
+        };
+        match crossed(0.9) {
+            PresolveOutcome::Reduced(r, _) => {
+                let v = &r.vars()[0];
+                assert_eq!(v.lower(), v.upper(), "a crossed pair is written back as a point");
+                assert!((hi..=lo).contains(&v.lower()));
+                assert!(r.validate().is_ok());
+                let out = r.solve(&SolveOptions::optimal()).expect("solvable");
+                assert!(out.status.has_solution(), "the point must be feasible");
+            }
+            PresolveOutcome::Infeasible => panic!("a crossing within tolerance is feasible"),
+        }
+        // A crossing wider than the tolerance still proves infeasibility.
+        assert!(matches!(crossed(0.91), PresolveOutcome::Infeasible));
     }
 
     #[test]

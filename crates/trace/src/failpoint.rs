@@ -2,9 +2,9 @@
 //!
 //! A *failpoint* is a named site in the solver stack where a fault can be
 //! injected on demand: a worker panic, a singular basis, a failed
-//! checkpoint write. With no configuration installed every call is a
-//! relaxed atomic load and an immediate return, so production runs pay
-//! one branch per site visit and nothing else.
+//! checkpoint write. With no configuration installed every call is two
+//! atomic loads and an immediate return, so production runs pay a branch
+//! per site visit and never write shared memory.
 //!
 //! Faults are injected **deterministically**: the decision for a visit is
 //! a pure function of `(seed, site, key)`, where `key` is a stable
@@ -149,11 +149,16 @@ fn decide(config: &FailpointConfig, site: &str, key: u64) -> bool {
 /// `key` is a stable identity for the visit (window id, job index, retry
 /// attempt); the decision is a pure function of `(seed, site, key)` and
 /// therefore independent of scheduling. With no configuration installed
-/// (and no `RTR_FAILPOINTS` in the environment) this is a single relaxed
-/// atomic load.
+/// (and no `RTR_FAILPOINTS` in the environment) this is two atomic loads
+/// once the first call has consulted the environment.
 pub fn failpoint(site: &str, key: u64) -> bool {
     if !ARMED.load(Ordering::Relaxed) {
-        if ENV_CHECKED.swap(true, Ordering::AcqRel) {
+        // Plain load first: once the environment has been read, an
+        // unarmed visit never writes the shared flag. Only callers that
+        // still see `false` race on the swap, and exactly one wins. The
+        // Acquire pairs with the Release stores in `install` and `clear`,
+        // as the swap's does.
+        if ENV_CHECKED.load(Ordering::Acquire) || ENV_CHECKED.swap(true, Ordering::AcqRel) {
             return false;
         }
         // First call in this process: consult the environment once.
