@@ -101,12 +101,10 @@ pub fn parse_bench_json(text: &str) -> Result<ParsedRun, String> {
     match root.get("counters") {
         Some(JsonValue::Obj(entries)) => {
             for (key, value) in entries {
-                let v =
-                    value.as_f64().ok_or_else(|| format!("counter \"{key}\" is not a number"))?;
-                if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
-                    return Err(format!("counter \"{key}\" is not a non-negative integer: {v}"));
-                }
-                run.counters.insert(key.clone(), v as u64);
+                let v = value
+                    .as_u64()
+                    .ok_or_else(|| format!("counter \"{key}\" is not a non-negative integer"))?;
+                run.counters.insert(key.clone(), v);
             }
         }
         Some(_) => return Err("\"counters\" is not an object".to_owned()),

@@ -12,6 +12,7 @@ use rtr_core::{
     Architecture, Exploration, ExploreParams, IterationResult, SearchLimits, TemporalPartitioner,
 };
 use rtr_graph::{Area, Latency, TaskGraph};
+use rtr_trace::{write_value, Escaped, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -349,24 +350,13 @@ impl BenchRun {
 
     /// The JSON document: `{"name": ..., "counters": {...}, "metrics": {...}}`.
     pub fn to_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"name\": \"{}\",\n", escape(&self.name)));
+        let mut out = format!("{{\n  \"name\": \"{}\",\n", Escaped(&self.name));
         out.push_str("  \"counters\": {");
         for (i, (k, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    \"{}\": {v}", escape(k)));
+            out.push_str(&format!("\n    \"{}\": {v}", Escaped(k)));
         }
         out.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
         out.push_str("  \"metrics\": {");
@@ -374,11 +364,8 @@ impl BenchRun {
             if i > 0 {
                 out.push(',');
             }
-            // Integral floats keep a trailing .0 so the value round-trips
-            // as a float.
-            let rendered =
-                if v.fract() == 0.0 && v.abs() < 1e15 { format!("{v:.1}") } else { format!("{v}") };
-            out.push_str(&format!("\n    \"{}\": {rendered}", escape(k)));
+            out.push_str(&format!("\n    \"{}\": ", Escaped(k)));
+            write_value(&mut out, &Value::F64(*v));
         }
         out.push_str(if self.metrics.is_empty() { "}\n" } else { "\n  }\n" });
         out.push_str("}\n");

@@ -37,6 +37,11 @@
 //! exact bit pattern. `version` is bumped on any incompatible schema
 //! change; loaders reject unknown versions (and mismatched fingerprints)
 //! with a typed [`PartitionError::Checkpoint`] rather than guessing.
+//!
+//! Reading goes through [`rtr_trace::parse_value`], the workspace's one
+//! JSON reader, and decodes its tree: malformed JSON, nesting past
+//! [`rtr_trace::MAX_DEPTH`], an overflowing float such as `1e999`, and a
+//! missing or mistyped field are all the same typed error.
 
 use crate::arch::Architecture;
 use crate::error::PartitionError;
@@ -44,6 +49,7 @@ use crate::search::IterationResult;
 use crate::solution::{Placement, Solution};
 use crate::validate::validate_solution;
 use rtr_graph::TaskGraph;
+use rtr_trace::{parse_value, JsonValue};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -214,10 +220,13 @@ impl Checkpoint {
     /// schema version, or missing / mistyped fields.
     pub fn from_json(text: &str) -> Result<Checkpoint, PartitionError> {
         let err = |msg: &str| PartitionError::Checkpoint { detail: msg.to_owned() };
-        let value = parse_json(text)
+        let top = parse_value(text)
             .map_err(|e| PartitionError::Checkpoint { detail: format!("bad JSON: {e}") })?;
-        let obj = value.as_obj().ok_or_else(|| err("top level is not an object"))?;
-        let version = get_u64(obj, "version").ok_or_else(|| err("missing `version`"))? as u32;
+        if !matches!(top, JsonValue::Obj(_)) {
+            return Err(err("top level is not an object"));
+        }
+        let version = top.get("version").and_then(JsonValue::as_u64);
+        let version = version.ok_or_else(|| err("missing `version`"))? as u32;
         if version != CHECKPOINT_VERSION {
             return Err(PartitionError::Checkpoint {
                 detail: format!(
@@ -226,38 +235,43 @@ impl Checkpoint {
                 ),
             });
         }
-        let fingerprint = get_str(obj, "fingerprint")
+        let fingerprint = top
+            .get("fingerprint")
+            .and_then(JsonValue::as_str)
             .and_then(parse_hex_u64)
             .ok_or_else(|| err("missing or malformed `fingerprint`"))?;
-        let records_json = get(obj, "records")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("missing `records` array"))?;
+        let Some(JsonValue::Arr(records_json)) = top.get("records") else {
+            return Err(err("missing `records` array"));
+        };
         let mut records = Vec::with_capacity(records_json.len());
         for (i, rec) in records_json.iter().enumerate() {
             let rerr =
                 |msg: &str| PartitionError::Checkpoint { detail: format!("record {i}: {msg}") };
-            let rec = rec.as_obj().ok_or_else(|| rerr("not an object"))?;
-            let n = get_u64(rec, "n").ok_or_else(|| rerr("missing `n`"))? as u32;
-            let iteration =
-                get_u64(rec, "iteration").ok_or_else(|| rerr("missing `iteration`"))? as u32;
-            let d_max_ns = get_f64(rec, "d_max_ns").ok_or_else(|| rerr("missing `d_max_ns`"))?;
-            let d_min_ns = get_f64(rec, "d_min_ns").ok_or_else(|| rerr("missing `d_min_ns`"))?;
-            let elapsed_us = get_u64(rec, "elapsed_us").unwrap_or(0);
-            let result = match get_str(rec, "result") {
+            if !matches!(rec, JsonValue::Obj(_)) {
+                return Err(rerr("not an object"));
+            }
+            let int = |key: &str| rec.get(key).and_then(JsonValue::as_u64);
+            let float = |key: &str| rec.get(key).and_then(JsonValue::as_f64);
+            let n = int("n").ok_or_else(|| rerr("missing `n`"))? as u32;
+            let iteration = int("iteration").ok_or_else(|| rerr("missing `iteration`"))? as u32;
+            let d_max_ns = float("d_max_ns").ok_or_else(|| rerr("missing `d_max_ns`"))?;
+            let d_min_ns = float("d_min_ns").ok_or_else(|| rerr("missing `d_min_ns`"))?;
+            let elapsed_us = int("elapsed_us").unwrap_or(0);
+            let result = match rec.get("result").and_then(JsonValue::as_str) {
                 Some("feasible") => {
                     let latency_ns =
-                        get_f64(rec, "latency_ns").ok_or_else(|| rerr("missing `latency_ns`"))?;
-                    let eta = get_u64(rec, "eta").ok_or_else(|| rerr("missing `eta`"))? as u32;
-                    let list = get(rec, "placements")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| rerr("feasible record without `placements`"))?;
+                        float("latency_ns").ok_or_else(|| rerr("missing `latency_ns`"))?;
+                    let eta = int("eta").ok_or_else(|| rerr("missing `eta`"))? as u32;
+                    let Some(JsonValue::Arr(list)) = rec.get("placements") else {
+                        return Err(rerr("feasible record without `placements`"));
+                    };
                     let mut placements = Vec::with_capacity(list.len());
                     for pair in list {
-                        let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                            rerr("placement is not a [partition, design_point] pair")
-                        })?;
-                        let p = pair[0].as_u64().ok_or_else(|| rerr("bad partition"))? as u32;
-                        let m = pair[1].as_u64().ok_or_else(|| rerr("bad design point"))? as usize;
+                        let bad_pair = || rerr("placement is not a [partition, design_point] pair");
+                        let JsonValue::Arr(pair) = pair else { return Err(bad_pair()) };
+                        let [p, m] = pair.as_slice() else { return Err(bad_pair()) };
+                        let p = p.as_u64().ok_or_else(|| rerr("bad partition"))? as u32;
+                        let m = m.as_u64().ok_or_else(|| rerr("bad design point"))? as usize;
                         placements.push((p, m));
                     }
                     CheckpointResult::Feasible { latency_ns, eta, placements }
@@ -447,258 +461,6 @@ fn parse_hex_u64(s: &str) -> Option<u64> {
     u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
 }
 
-// ---------------------------------------------------------------------------
-// A minimal JSON reader — just enough for the checkpoint schema, with every
-// malformation reported as an error instead of a panic.
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
-                Some(*v as u64)
-            }
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_u64(obj: &[(String, Json)], key: &str) -> Option<u64> {
-    get(obj, key).and_then(Json::as_u64)
-}
-
-fn get_f64(obj: &[(String, Json)], key: &str) -> Option<f64> {
-    match get(obj, key) {
-        Some(Json::Num(v)) => Some(*v),
-        _ => None,
-    }
-}
-
-fn get_str<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a str> {
-    match get(obj, key) {
-        Some(Json::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: u32,
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut r = Reader { bytes: text.as_bytes(), pos: 0, depth: 0 };
-    r.skip_ws();
-    let value = r.value()?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", r.pos));
-    }
-    Ok(value)
-}
-
-impl Reader<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", c as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        if self.depth > 64 {
-            return Err("nesting too deep".to_owned());
-        }
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.depth += 1;
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.depth += 1;
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad \\u escape at offset {}", self.pos))?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x20 => {
-                    return Err(format!("control byte in string at offset {}", self.pos))
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through unchanged; the input
-                    // was a &str, so boundaries are already valid.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|&b| b >= 0x80 && (b & 0xC0) == 0x80)
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| format!("invalid UTF-8 at offset {start}"))?,
-                    );
-                }
-                None => return Err("unterminated string".to_owned()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid number at offset {start}"))?;
-        let value: f64 =
-            text.parse().map_err(|_| format!("invalid number `{text}` at offset {start}"))?;
-        if !value.is_finite() {
-            return Err(format!("non-finite number `{text}` at offset {start}"));
-        }
-        Ok(Json::Num(value))
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -784,12 +546,10 @@ mod tests {
     }
 
     #[test]
-    fn json_reader_handles_escapes_and_rejects_junk() {
-        assert_eq!(parse_json("\"a\\n\\u0041π\"").unwrap(), Json::Str("a\nAπ".to_owned()));
-        for bad in ["{\"a\" 1}", "[1 2]", "tru", "1e999", "\"\\x\"", "\"unterminated", "[[[["] {
-            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
-        }
-        assert!(parse_json("[1, [2, [3]]] ").is_ok());
+    fn overflowing_floats_are_rejected() {
+        let text = sample().to_json().replace("\"d_max_ns\": 1730.125", "\"d_max_ns\": 1e999");
+        assert!(text.contains("1e999"));
+        assert!(matches!(Checkpoint::from_json(&text), Err(PartitionError::Checkpoint { .. })));
     }
 
     #[test]

@@ -1327,8 +1327,7 @@ impl<'g> TemporalPartitioner<'g> {
             "graph={}|rmax={}|mem={}|ct_bits={}|env={:?}|sec={:?}|delta_bits={}|alpha={}|\
              gamma={}|backend={}|strategy={}|node_limit={}|time_limit={:?}|memo_limit={}|\
              model={:?}|milp_goal={:?}|milp_nodes={}|milp_pivots={}|milp_time={:?}|\
-             milp_int_tol={}|milp_lp_tol={}|milp_lp_iters={}|milp_round={}|milp_presolve={}|\
-             milp_warm={}|milp_cuts={}|milp_pseudo={}",
+             milp_presolve={}|milp_warm={}",
             self.graph.to_text(),
             self.arch.resource_capacity().units(),
             self.arch.memory_capacity(),
@@ -1348,14 +1347,8 @@ impl<'g> TemporalPartitioner<'g> {
             m.node_limit,
             m.pivot_limit,
             m.time_limit,
-            m.int_tol.to_bits(),
-            m.lp_tol.to_bits(),
-            m.lp_iteration_limit,
-            m.rounding_heuristic,
             m.presolve,
             m.warm_start,
-            m.cuts,
-            m.pseudo_cost_branching,
         );
         fnv1a(canon.as_bytes())
     }

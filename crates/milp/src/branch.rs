@@ -10,6 +10,10 @@ use rtr_trace::Instrument as _;
 use std::rc::Rc;
 use std::time::Instant;
 
+/// Tolerance within which a value counts as integral.
+const INT_TOL: f64 = 1e-6;
+/// Feasibility/optimality tolerance of every simplex solve.
+const LP_TOL: f64 = 1e-7;
 /// Maximum root cut-separation rounds.
 const MAX_CUT_ROUNDS: usize = 5;
 /// A variable's pseudo-cost direction is *reliable* once it has this many
@@ -211,8 +215,8 @@ fn branch_and_bound(
     // Cuts and pseudo-cost machinery aim at proving bounds; the paper's
     // feasibility hot path keeps the historical cut-free, most-fractional
     // search (and its node counts) untouched.
-    let use_cuts = options.cuts && options.goal == Goal::Optimal && !int_vars.is_empty();
-    let use_pc = options.pseudo_cost_branching && options.goal == Goal::Optimal;
+    let use_cuts = options.goal == Goal::Optimal && !int_vars.is_empty();
+    let use_pc = options.goal == Goal::Optimal;
     // Dual bound of the node a limit interrupted, for the final gap.
     let mut broken_bound = f64::INFINITY;
 
@@ -225,29 +229,22 @@ fn branch_and_bound(
             options.pivot_limit.saturating_sub(stats.simplex_iterations)
         }
     };
-    // Per-LP iteration cap honouring both the user's per-LP limit and the
-    // remaining budget. With a budget and no per-LP limit the remainder
-    // replaces the automatic anti-cycling cap: a cycling LP then burns the
+    // Per-LP iteration cap: the automatic anti-cycling cap (0) without a
+    // budget, the budget remainder with one. A cycling LP then burns the
     // budget and stops the solve instead of erroring, which is the right
     // failure mode for a budgeted run.
     let lp_cap = |stats: &SolveStats| -> usize {
         let left = pivots_left(stats);
         if left == usize::MAX {
-            options.lp_iteration_limit
-        } else if options.lp_iteration_limit == 0 {
-            left
+            0
         } else {
-            options.lp_iteration_limit.min(left)
+            left
         }
     };
-    // When this holds, an [`MilpError::IterationLimit`] from an LP solved
-    // at `lp_cap` means the solve-wide budget ran dry (the budget remainder
-    // was the binding cap), not that the LP failed: the solve stops with a
-    // limit status and the budget is charged in full.
-    let budget_bound = |stats: &SolveStats| -> bool {
-        options.pivot_limit != 0
-            && (options.lp_iteration_limit == 0 || pivots_left(stats) < options.lp_iteration_limit)
-    };
+    // With a budget, an [`MilpError::IterationLimit`] from an LP solved at
+    // `lp_cap` means the budget ran dry, not that the LP failed: the solve
+    // stops with a limit status and the budget is charged in full.
+    let budgeted = options.pivot_limit != 0;
 
     while let Some(Node { bounds, parent_basis, bound, branch: came_from }) = stack.pop() {
         if stats.nodes >= options.node_limit || pivots_left(&stats) == 0 {
@@ -281,21 +278,15 @@ fn branch_and_bound(
         let warm_basis = if options.warm_start { parent_basis.as_deref() } else { None };
         let smodel: &Model = augmented.as_ref().unwrap_or(model);
         let cap = lp_cap(&stats);
-        let budget_was_binding = budget_bound(&stats);
         let lp = match warm_basis {
-            Some(basis) => resolve_lp_with_deadline(
-                smodel,
-                Some(&bounds),
-                basis,
-                options.lp_tol,
-                cap,
-                deadline,
-            ),
-            None => solve_lp_with_deadline(smodel, Some(&bounds), options.lp_tol, cap, deadline),
+            Some(basis) => {
+                resolve_lp_with_deadline(smodel, Some(&bounds), basis, LP_TOL, cap, deadline)
+            }
+            None => solve_lp_with_deadline(smodel, Some(&bounds), LP_TOL, cap, deadline),
         };
         let lp = match lp {
             Ok(lp) => lp,
-            Err(MilpError::IterationLimit { .. }) if budget_was_binding => {
+            Err(MilpError::IterationLimit { .. }) if budgeted => {
                 // The node LP consumed the remaining pivot budget: charge
                 // it in full and stop like any other limit.
                 stats.lp_time += lp_start.elapsed();
@@ -364,8 +355,7 @@ fn branch_and_bound(
                 }
                 let Some(basis) = lp.basis.as_ref() else { break };
                 let work: &Model = augmented.as_ref().unwrap_or(model);
-                let res =
-                    pool.separate(model, work, &root_bounds, basis, options.lp_tol, &lp.values);
+                let res = pool.separate(model, work, &root_bounds, basis, LP_TOL, &lp.values);
                 stats.cuts_generated += res.total();
                 if res.gomory > 0 {
                     stats.gomory_rounds += 1;
@@ -387,17 +377,16 @@ fn branch_and_bound(
                     break;
                 }
                 let re_cap = lp_cap(&stats);
-                let re_budget_was_binding = budget_bound(&stats);
                 let re_start = Instant::now();
                 let relp = match solve_lp_with_deadline(
                     &work_next,
                     Some(&root_bounds),
-                    options.lp_tol,
+                    LP_TOL,
                     re_cap,
                     deadline,
                 ) {
                     Ok(relp) => relp,
-                    Err(MilpError::IterationLimit { .. }) if re_budget_was_binding => {
+                    Err(MilpError::IterationLimit { .. }) if budgeted => {
                         stats.lp_time += re_start.elapsed();
                         stats.simplex_iterations = options.pivot_limit;
                         saw_limit = true;
@@ -443,7 +432,7 @@ fn branch_and_bound(
         // LP objective degradation per unit of fractional distance.
         if use_pc {
             if let Some((j, frac, up)) = came_from {
-                if frac > options.int_tol {
+                if frac > INT_TOL {
                     let per_unit = ((lp_obj_min - bound) / frac).max(0.0);
                     if per_unit.is_finite() {
                         pc.record(j, up, per_unit);
@@ -458,12 +447,12 @@ fn branch_and_bound(
         }
 
         // Rounding heuristic: at the root, try the nearest integer point.
-        if is_root && options.rounding_heuristic && !int_vars.is_empty() {
+        if is_root && !int_vars.is_empty() {
             let mut rounded = lp.values.clone();
             for &j in &int_vars {
                 rounded[j] = rounded[j].round().clamp(bounds[j].0, bounds[j].1);
             }
-            if model.is_feasible_point(&rounded, options.int_tol.max(options.lp_tol)) {
+            if model.is_feasible_point(&rounded, INT_TOL) {
                 let objective = model.objective.eval(&rounded);
                 let obj_min = minimize_sign * objective;
                 if obj_min < incumbent_obj {
@@ -480,7 +469,7 @@ fn branch_and_bound(
         let mut cands: Vec<(usize, f64)> = Vec::new(); // (var, LP value)
         for &j in &int_vars {
             let v = lp.values[j];
-            if (v - v.round()).abs() > options.int_tol {
+            if (v - v.round()).abs() > INT_TOL {
                 cands.push((j, v));
             }
         }
@@ -539,7 +528,7 @@ fn branch_and_bound(
                 let floor = v.floor();
                 for up in [false, true] {
                     let frac = if up { floor + 1.0 - v } else { v - floor };
-                    if frac <= options.int_tol {
+                    if frac <= INT_TOL {
                         continue;
                     }
                     let mut cb = bounds.clone();
@@ -555,14 +544,14 @@ fn branch_and_bound(
                             smodel,
                             Some(&cb),
                             b,
-                            options.lp_tol,
+                            LP_TOL,
                             STRONG_BRANCH_ITERS,
                             deadline,
                         ),
                         None => solve_lp_with_deadline(
                             smodel,
                             Some(&cb),
-                            options.lp_tol,
+                            LP_TOL,
                             STRONG_BRANCH_ITERS,
                             deadline,
                         ),
@@ -787,16 +776,14 @@ mod tests {
 
     #[test]
     fn node_limit_reported() {
-        // A tight feasibility problem needing branching, with node_limit 1 and
-        // heuristics off: stops with LimitReached.
+        // A tight feasibility problem needing branching, with node_limit 1:
+        // stops with LimitReached unless root rounding already succeeds.
         let mut m = Model::new();
         let vars: Vec<_> = (0..10).map(|_| m.add_var(Variable::binary())).collect();
         let sum: LinExpr = vars.iter().map(|&v| (3.0, v)).collect();
         m.add_constraint(Constraint::new(sum.clone(), Rel::Ge, 7.0));
         m.add_constraint(Constraint::new(sum, Rel::Le, 8.0));
-        let mut opts = SolveOptions::feasibility().with_node_limit(1);
-        opts.rounding_heuristic = false;
-        let out = m.solve(&opts).unwrap();
+        let out = m.solve(&SolveOptions::feasibility().with_node_limit(1)).unwrap();
         // One node explored, branching needed, then the limit fires.
         assert!(matches!(out.status, Status::LimitReached | Status::Feasible));
         if out.status == Status::LimitReached {

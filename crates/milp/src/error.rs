@@ -35,12 +35,6 @@ pub enum MilpError {
         /// The limit that was hit.
         limit: usize,
     },
-    /// A textual basis file could not be interpreted against this model, or
-    /// a basis was paired with a model of different dimensions.
-    BasisFormat {
-        /// What was wrong (includes the offending line for parse errors).
-        detail: String,
-    },
 }
 
 impl fmt::Display for MilpError {
@@ -57,9 +51,6 @@ impl fmt::Display for MilpError {
             }
             MilpError::IterationLimit { limit } => {
                 write!(f, "simplex iteration limit {limit} exceeded")
-            }
-            MilpError::BasisFormat { detail } => {
-                write!(f, "malformed basis: {detail}")
             }
         }
     }

@@ -1,15 +1,10 @@
-//! CPLEX LP-format and BAS-format (basis) export.
+//! CPLEX LP-format export.
 //!
 //! Writing a model in the standard LP text format lets it be inspected by
 //! hand or cross-checked with an external solver — fitting for a crate
-//! whose whole purpose is standing in for CPLEX. The companion `.bas`
-//! export/import ([`Model::to_bas_format`], [`Model::parse_bas_format`])
-//! round-trips the optimal [`Basis`] a solve returns, so a warm start can
-//! be carried across processes alongside the LP file.
+//! whose whole purpose is standing in for CPLEX.
 
 use crate::model::{Model, Rel, Sense, VarKind};
-use crate::simplex::{Basis, VarStatus};
-use crate::MilpError;
 use std::fmt::Write as _;
 
 impl Model {
@@ -118,194 +113,6 @@ impl Model {
         out
     }
 
-    /// Renders `basis` in CPLEX BAS format against this model.
-    ///
-    /// Per the format, each basic *structural* variable is paired with a
-    /// row whose slack is nonbasic (`XL` when the slack sits at its lower
-    /// bound, `XU` at its upper); pairing is by ascending index and is
-    /// advisory — the solver refactorizes on import and re-pairs rows.
-    /// Nonbasic structurals at their upper bound get a `UL` line, nonbasic
-    /// free structurals an `FR` line (an extension: stock CPLEX has no
-    /// nonbasic-free tag), and everything unmentioned defaults to the
-    /// standard reading (structurals at lower bound, row slacks basic).
-    ///
-    /// Fails with [`MilpError::BasisFormat`] if `basis` does not match the
-    /// model's dimensions.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rtr_milp::{Model, Variable, Constraint, LinExpr, Rel, solve_lp};
-    /// let mut m = Model::new();
-    /// let x = m.add_var(Variable::continuous(0.0, 10.0).with_name("x"));
-    /// let y = m.add_var(Variable::continuous(0.0, 10.0).with_name("y"));
-    /// m.add_constraint(Constraint::new(LinExpr::new() + (1.0, x) + (1.0, y), Rel::Le, 6.0));
-    /// m.maximize(LinExpr::new() + (3.0, x) + (2.0, y));
-    /// let basis = solve_lp(&m, None, 1e-7, 0).unwrap().basis.unwrap();
-    /// let text = m.to_bas_format(&basis).unwrap();
-    /// let back = m.parse_bas_format(&text).unwrap();
-    /// assert_eq!(back.statuses, basis.statuses);
-    /// ```
-    pub fn to_bas_format(&self, basis: &Basis) -> Result<String, MilpError> {
-        let n = self.vars.len();
-        let m = self.constraints.len();
-        if basis.statuses.len() != n + m || basis.order.len() != m {
-            return Err(MilpError::BasisFormat {
-                detail: format!(
-                    "basis has {} statuses / {} rows, model needs {} / {}",
-                    basis.statuses.len(),
-                    basis.order.len(),
-                    n + m,
-                    m
-                ),
-            });
-        }
-        let basic = basis.statuses.iter().filter(|&&s| s == VarStatus::Basic).count();
-        if basic != m {
-            return Err(MilpError::BasisFormat {
-                detail: format!("{basic} basic columns for {m} rows"),
-            });
-        }
-        let names = self.lp_names();
-        let rows = self.bas_row_names();
-        // One nonbasic slack exists for every basic structural (both counts
-        // equal m minus the number of basic slacks), so zipping the two
-        // ascending lists pairs everything.
-        let basic_structs: Vec<usize> =
-            (0..n).filter(|&j| basis.statuses[j] == VarStatus::Basic).collect();
-        let nonbasic_rows: Vec<usize> =
-            (0..m).filter(|&i| basis.statuses[n + i] != VarStatus::Basic).collect();
-        debug_assert_eq!(basic_structs.len(), nonbasic_rows.len());
-        let mut out = String::from("NAME rtr-milp basis\n");
-        for (&j, &i) in basic_structs.iter().zip(&nonbasic_rows) {
-            let tag = if basis.statuses[n + i] == VarStatus::AtUpper { "XU" } else { "XL" };
-            let _ = writeln!(out, " {tag} {} {}", names[j], rows[i]);
-        }
-        for (status, name) in basis.statuses.iter().take(n).zip(&names) {
-            match status {
-                VarStatus::AtUpper => {
-                    let _ = writeln!(out, " UL {name}");
-                }
-                VarStatus::Free => {
-                    let _ = writeln!(out, " FR {name}");
-                }
-                VarStatus::AtLower | VarStatus::Basic => {}
-            }
-        }
-        out.push_str("ENDATA\n");
-        Ok(out)
-    }
-
-    /// Parses a CPLEX BAS file written by [`Model::to_bas_format`] (or by
-    /// hand) back into a [`Basis`] for this model.
-    ///
-    /// Names are resolved against the same sanitized names the LP and BAS
-    /// exporters emit. The row → column assignment is reconstructed from
-    /// the `XL`/`XU` pairings where given; leftover rows take the remaining
-    /// basic columns in ascending order — harmless, since the solver
-    /// refactorizes (and thereby re-pairs) any installed basis anyway.
-    pub fn parse_bas_format(&self, text: &str) -> Result<Basis, MilpError> {
-        let n = self.vars.len();
-        let m = self.constraints.len();
-        let malformed = |line: usize, detail: &str| MilpError::BasisFormat {
-            detail: format!("line {line}: {detail}"),
-        };
-        let mut var_ix = std::collections::HashMap::new();
-        for (j, name) in self.lp_names().into_iter().enumerate() {
-            var_ix.entry(name).or_insert(j);
-        }
-        let mut row_ix = std::collections::HashMap::new();
-        for (i, name) in self.bas_row_names().into_iter().enumerate() {
-            row_ix.entry(name).or_insert(i);
-        }
-        // Standard defaults: structurals nonbasic at a finite bound
-        // (preferring lower), row slacks basic.
-        let mut statuses: Vec<VarStatus> = self
-            .vars
-            .iter()
-            .map(|v| {
-                if v.lower().is_finite() {
-                    VarStatus::AtLower
-                } else if v.upper().is_finite() {
-                    VarStatus::AtUpper
-                } else {
-                    VarStatus::Free
-                }
-            })
-            .collect();
-        statuses.resize(n + m, VarStatus::Basic);
-        let mut paired: Vec<Option<usize>> = vec![None; m];
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = lineno + 1;
-            let toks: Vec<&str> = raw.split_whitespace().collect();
-            match toks.as_slice() {
-                [] => {}
-                [first, ..] if first.starts_with('*') || *first == "NAME" => {}
-                ["ENDATA", ..] => break,
-                [tag @ ("XL" | "XU"), var, row] => {
-                    let &j = var_ix
-                        .get(*var)
-                        .ok_or_else(|| malformed(line, &format!("unknown variable `{var}`")))?;
-                    let &i = row_ix
-                        .get(*row)
-                        .ok_or_else(|| malformed(line, &format!("unknown row `{row}`")))?;
-                    if paired[i].is_some() {
-                        return Err(malformed(line, &format!("row `{row}` paired twice")));
-                    }
-                    statuses[j] = VarStatus::Basic;
-                    statuses[n + i] =
-                        if *tag == "XU" { VarStatus::AtUpper } else { VarStatus::AtLower };
-                    paired[i] = Some(j);
-                }
-                [tag @ ("UL" | "LL" | "FR"), var] => {
-                    let &j = var_ix
-                        .get(*var)
-                        .ok_or_else(|| malformed(line, &format!("unknown variable `{var}`")))?;
-                    statuses[j] = match *tag {
-                        "UL" => VarStatus::AtUpper,
-                        "LL" => VarStatus::AtLower,
-                        _ => VarStatus::Free,
-                    };
-                }
-                [tag, ..] => {
-                    return Err(malformed(line, &format!("unrecognized record `{tag}`")));
-                }
-            }
-        }
-        let basic = statuses.iter().filter(|&&s| s == VarStatus::Basic).count();
-        if basic != m {
-            return Err(MilpError::BasisFormat {
-                detail: format!("file yields {basic} basic columns for {m} rows"),
-            });
-        }
-        // Rebuild the row → column assignment: honor the explicit pairings,
-        // keep basic slacks in their own rows where possible, and hand the
-        // leftover basic columns to the leftover rows in ascending order.
-        let mut order = vec![usize::MAX; m];
-        let mut placed = vec![false; n + m];
-        for (i, p) in paired.iter().enumerate() {
-            if let Some(j) = *p {
-                order[i] = j;
-                placed[j] = true;
-            }
-        }
-        for i in 0..m {
-            if order[i] == usize::MAX && statuses[n + i] == VarStatus::Basic && !placed[n + i] {
-                order[i] = n + i;
-                placed[n + i] = true;
-            }
-        }
-        let mut leftovers = (0..n + m).filter(|&c| statuses[c] == VarStatus::Basic && !placed[c]);
-        for slot in order.iter_mut().filter(|slot| **slot == usize::MAX) {
-            // The basic-count check above guarantees a column per row, but a
-            // malformed file should surface as a typed error, never a panic.
-            *slot = leftovers.next().ok_or_else(|| MilpError::BasisFormat {
-                detail: "fewer basic columns than unpaired rows".to_string(),
-            })?;
-        }
-        Ok(Basis { statuses, order })
-    }
-
     fn lp_names(&self) -> Vec<String> {
         let mut seen = std::collections::HashSet::new();
         self.vars
@@ -317,27 +124,6 @@ impl Model {
                     candidate
                 } else {
                     let fallback = format!("x{j}");
-                    seen.insert(fallback.clone());
-                    fallback
-                }
-            })
-            .collect()
-    }
-
-    /// Row labels for the BAS exporter, deduplicated the same way variable
-    /// names are (the LP exporter tolerates duplicate row labels; a basis
-    /// file cannot, since rows are referenced by name).
-    fn bas_row_names(&self) -> Vec<String> {
-        let mut seen = std::collections::HashSet::new();
-        self.constraints
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let candidate = sanitize(c.name().unwrap_or(""), &format!("c{i}"));
-                if seen.insert(candidate.clone()) {
-                    candidate
-                } else {
-                    let fallback = format!("c{i}");
                     seen.insert(fallback.clone());
                     fallback
                 }
@@ -391,7 +177,6 @@ fn sanitize(name: &str, fallback: &str) -> String {
 mod tests {
     use super::*;
     use crate::model::{Constraint, LinExpr, Variable};
-    use crate::simplex::{resolve_lp, solve_lp, LpStatus};
 
     #[test]
     fn full_file_structure() {
@@ -435,91 +220,10 @@ mod tests {
         assert_eq!(sanitize("a<=b", "f"), "a__b");
     }
 
-    /// An LP with a basic structural (`XL`), an at-upper structural (`UL`),
-    /// and a basic slack, so every major BAS record round-trips.
-    fn bas_fixture() -> Model {
-        let mut m = Model::new();
-        let x = m.add_var(Variable::continuous(0.0, 5.0).with_name("x"));
-        let y = m.add_var(Variable::continuous(0.0, 10.0).with_name("y"));
-        m.add_constraint(
-            Constraint::new(LinExpr::new() + (1.0, x) + (1.0, y), Rel::Le, 6.0).with_name("cap"),
-        );
-        m.add_constraint(Constraint::new(LinExpr::new() + (1.0, x) + (3.0, y), Rel::Le, 12.0));
-        m.maximize(LinExpr::new() + (3.0, x) + (2.0, y));
-        m
-    }
-
     #[test]
-    fn bas_round_trip_preserves_the_basis() {
-        let m = bas_fixture();
-        let out = solve_lp(&m, None, 1e-7, 0).unwrap();
-        assert_eq!(out.status, LpStatus::Optimal);
-        let basis = out.basis.expect("optimal solve returns a basis");
-        let text = m.to_bas_format(&basis).unwrap();
-        // Optimum is x = 5 (its upper bound), y = 1 basic, `cap` tight.
-        assert!(text.starts_with("NAME"), "{text}");
-        assert!(text.contains(" XL y cap"), "{text}");
-        assert!(text.contains(" UL x"), "{text}");
-        assert!(text.trim_end().ends_with("ENDATA"), "{text}");
-
-        let back = m.parse_bas_format(&text).unwrap();
-        assert_eq!(back.statuses, basis.statuses);
-        let mut got: Vec<usize> = back.order.clone();
-        let mut want: Vec<usize> = basis.order.clone();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want, "same set of basic columns row-assigned");
-
-        // The parsed basis is a working warm start: a re-solve from it
-        // reproduces the cold objective.
-        let warm = resolve_lp(&m, None, &back, 1e-7, 0).unwrap();
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert!((warm.objective - out.objective).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bas_parse_rejects_malformed_input() {
-        let m = bas_fixture();
-        let err = m.parse_bas_format(" ZZ x cap\nENDATA\n").unwrap_err();
-        assert!(err.to_string().contains("unrecognized record"), "{err}");
-        let err = m.parse_bas_format(" XL nope cap\nENDATA\n").unwrap_err();
-        assert!(err.to_string().contains("unknown variable"), "{err}");
-        let err = m.parse_bas_format(" XL x nope\nENDATA\n").unwrap_err();
-        assert!(err.to_string().contains("unknown row"), "{err}");
-        let err = m.parse_bas_format(" XL x cap\n XU y cap\nENDATA\n").unwrap_err();
-        assert!(err.to_string().contains("paired twice"), "{err}");
-        // One basic structural but both slacks nonbasic: 1 basic column
-        // for 2 rows.
-        let err = m.parse_bas_format(" XL x cap\n XU x c1\nENDATA\n").unwrap_err();
-        assert!(err.to_string().contains("basic columns"), "{err}");
-        let err = m.parse_bas_format("NAME t\nENDATA\n").and_then(|b| m.to_bas_format(&b));
-        assert!(err.is_ok(), "all-slack default basis is valid");
-    }
-
-    #[test]
-    fn bas_export_rejects_foreign_basis() {
-        let m = bas_fixture();
-        let bad = crate::Basis { statuses: vec![], order: vec![] };
-        let err = m.to_bas_format(&bad).unwrap_err();
-        assert!(err.to_string().contains("malformed basis"), "{err}");
-    }
-
-    #[test]
-    fn bas_defaults_follow_bounds_and_comments_are_skipped() {
-        let mut m = Model::new();
-        let _x = m.add_var(Variable::continuous(0.0, 1.0).with_name("x"));
-        let _f = m.add_var(Variable::free().with_name("f"));
-        m.add_constraint(Constraint::new(LinExpr::new(), Rel::Le, 1.0));
-        let b = m.parse_bas_format("* comment\nNAME t\n\nENDATA\n").unwrap();
-        assert_eq!(b.statuses, vec![VarStatus::AtLower, VarStatus::Free, VarStatus::Basic]);
-        assert_eq!(b.order, vec![2]);
-    }
-
-    #[test]
-    fn cut_pool_rows_export_and_round_trip() {
+    fn cut_pool_rows_export() {
         // A model augmented with cut-pool rows exports them under their
-        // `cut_*` names, and a basis of the augmented model survives the
-        // BAS round-trip (cut rows are ordinary rows to the format layer).
+        // `cut_*` names (cut rows are ordinary rows to the format layer).
         let mut m = Model::new();
         let a = m.add_var(Variable::binary().with_name("a"));
         let b = m.add_var(Variable::binary().with_name("b"));
@@ -551,16 +255,6 @@ mod tests {
         let lp = aug.to_lp_format();
         assert!(lp.contains(" cut_cover_0: 1 a + 1 b <= 1\n"), "{lp}");
         assert!(lp.contains(" cut_gomory_1: 0.5 a + 1 c >= 0.5\n"), "{lp}");
-
-        let out = solve_lp(&aug, None, 1e-7, 0).unwrap();
-        assert_eq!(out.status, LpStatus::Optimal);
-        let basis = out.basis.expect("optimal solve returns a basis");
-        let text = aug.to_bas_format(&basis).unwrap();
-        let back = aug.parse_bas_format(&text).unwrap();
-        assert_eq!(back.statuses, basis.statuses);
-        let warm = resolve_lp(&aug, None, &back, 1e-7, 0).unwrap();
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert!((warm.objective - out.objective).abs() < 1e-9);
     }
 
     #[test]

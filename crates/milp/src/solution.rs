@@ -15,6 +15,14 @@ pub enum Goal {
 }
 
 /// Options controlling a solve.
+///
+/// The tuning that no caller varies is fixed in `branch.rs` rather than
+/// exposed here: integrality tolerance `1e-6`, simplex tolerance `1e-7`,
+/// an automatic per-LP iteration cap, a rounding attempt at the root, and
+/// — for [`Goal::Optimal`] solves only — root cutting planes
+/// (cover/clique/Gomory) and reliability pseudo-cost branching. The
+/// feasibility hot path of the paper's DSE loop stays cut-free and
+/// branches on the most fractional variable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
     /// Feasibility or optimality.
@@ -36,14 +44,6 @@ pub struct SolveOptions {
     pub pivot_limit: usize,
     /// Wall-clock deadline for the whole solve.
     pub time_limit: Option<Duration>,
-    /// Tolerance within which a value counts as integral.
-    pub int_tol: f64,
-    /// Feasibility/optimality tolerance of the underlying simplex.
-    pub lp_tol: f64,
-    /// Simplex iteration limit per LP solve (0 means automatic).
-    pub lp_iteration_limit: usize,
-    /// Try rounding the root LP relaxation before branching.
-    pub rounding_heuristic: bool,
     /// Run presolve (bound propagation, redundant-row removal) before
     /// branch and bound.
     pub presolve: bool,
@@ -52,14 +52,6 @@ pub struct SolveOptions {
     /// every node. Outcomes are identical either way — warm solves fall
     /// back to a cold start on any trouble — only the pivot counts differ.
     pub warm_start: bool,
-    /// Run root cutting planes (cover/clique/Gomory rounds) before
-    /// branching. Separation only runs for [`Goal::Optimal`] solves — the
-    /// feasibility hot path of the paper's DSE loop stays cut-free.
-    pub cuts: bool,
-    /// Branch by reliability-initialized pseudo-costs ([`Goal::Optimal`]
-    /// only; with no recorded pseudo-costs the score degrades to the
-    /// historical most-fractional rule, which is what feasibility runs use).
-    pub pseudo_cost_branching: bool,
     /// Cooperative cancellation latch, polled at the head of every
     /// branch-and-bound node alongside the node/pivot/time budgets. A
     /// cancelled solve stops through the same path as a budget limit —
@@ -107,14 +99,8 @@ impl Default for SolveOptions {
             node_limit: 2_000_000,
             pivot_limit: 0,
             time_limit: None,
-            int_tol: 1e-6,
-            lp_tol: 1e-7,
-            lp_iteration_limit: 0,
-            rounding_heuristic: true,
             presolve: true,
             warm_start: true,
-            cuts: true,
-            pseudo_cost_branching: true,
             cancel: CancelFlag::new(),
         }
     }

@@ -22,8 +22,9 @@
 //! Responses are JSON. Backpressure is explicit: a full queue answers
 //! `429` with a `Retry-After` header; a draining server answers `503`.
 
-use crate::jobs::{escape_json, JobState, JobTable, SubmitError};
+use crate::jobs::{JobState, JobTable, SubmitError};
 use crate::request::JobRequest;
+use rtr_trace::Escaped;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,7 +63,7 @@ impl Response {
     }
 
     fn error(status: u16, reason: &'static str, message: &str) -> Response {
-        Response::json(status, reason, format!("{{\"error\":\"{}\"}}", escape_json(message)))
+        Response::json(status, reason, format!("{{\"error\":\"{}\"}}", Escaped(message)))
     }
 
     fn write_to(&self, stream: &mut TcpStream) {
@@ -257,7 +258,7 @@ fn result(table: &Arc<JobTable>, id: u64) -> Response {
         Some(JobState::Failed { error }) => Response::json(
             200,
             "OK",
-            format!("{{\"job\":{id},\"state\":\"failed\",\"error\":\"{}\"}}", escape_json(&error)),
+            format!("{{\"job\":{id},\"state\":\"failed\",\"error\":\"{}\"}}", Escaped(&error)),
         ),
         Some(state) => {
             Response::error(409, "Conflict", &format!("job is {}; result not ready", state.name()))

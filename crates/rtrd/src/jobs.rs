@@ -39,7 +39,7 @@ use crate::cache::{Lookup, SolveCache};
 use crate::request::JobRequest;
 use rtr_core::checkpoint::{Checkpoint, CheckpointPolicy};
 use rtr_core::{Exploration, TemporalPartitioner};
-use rtr_trace::CancelFlag;
+use rtr_trace::{CancelFlag, Escaped};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -463,23 +463,9 @@ impl JobTable {
     }
 }
 
-/// Escapes a string for embedding in JSON.
+/// Escapes a string for embedding in JSON (no surrounding quotes).
 pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    Escaped(s).to_string()
 }
 
 /// Renders the deterministic part of a job response: everything in this
@@ -497,7 +483,7 @@ fn render_result(exploration: &Exploration, request: &JobRequest) -> String {
                 out,
                 "\"feasible\":true,\"best_latency_ns\":{},\"solution\":\"{}\"",
                 latency.as_ns(),
-                escape_json(&best.to_text(&request.graph))
+                Escaped(&best.to_text(&request.graph))
             );
         }
         _ => out.push_str("\"feasible\":false,\"best_latency_ns\":null,\"solution\":null"),
@@ -508,7 +494,7 @@ fn render_result(exploration: &Exploration, request: &JobRequest) -> String {
         exploration.n_min_lower,
         exploration.n_min_upper,
         exploration.records.len(),
-        escape_json(&exploration.to_csv())
+        Escaped(&exploration.to_csv())
     );
     let d = &exploration.degradation;
     let _ = write!(
@@ -516,7 +502,7 @@ fn render_result(exploration: &Exploration, request: &JobRequest) -> String {
         ",\"clean\":{},\"cancelled\":{},\"degradation\":\"{}\"}}",
         d.is_clean(),
         d.cancelled,
-        escape_json(&d.render())
+        Escaped(&d.render())
     );
     out
 }

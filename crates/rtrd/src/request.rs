@@ -92,26 +92,24 @@ fn bad(field: &'static str, detail: impl Into<String>) -> RequestError {
     RequestError::BadField { field, detail: detail.into() }
 }
 
-/// A finite, non-negative integer-valued number that fits `u64`.
+/// A number [`JsonValue::as_u64`] accepts.
 fn get_u64(obj: &JsonValue, field: &'static str) -> Result<Option<u64>, RequestError> {
     match obj.get(field) {
         None | Some(JsonValue::Null) => Ok(None),
-        Some(JsonValue::Num(v, _)) => {
-            if !v.is_finite() || *v < 0.0 || v.fract() != 0.0 || *v > u64::MAX as f64 {
-                return Err(bad(field, format!("expected a non-negative integer, got {v}")));
-            }
-            Ok(Some(*v as u64))
-        }
+        Some(value @ JsonValue::Num(v, _)) => match value.as_u64() {
+            Some(n) => Ok(Some(n)),
+            None => Err(bad(field, format!("expected a non-negative integer, got {v}"))),
+        },
         Some(other) => Err(bad(field, format!("expected a number, got {}", kind(other)))),
     }
 }
 
-/// A finite, non-negative float.
+/// A non-negative float (the parser admits finite numbers only).
 fn get_f64(obj: &JsonValue, field: &'static str) -> Result<Option<f64>, RequestError> {
     match obj.get(field) {
         None | Some(JsonValue::Null) => Ok(None),
         Some(JsonValue::Num(v, _)) => {
-            if !v.is_finite() || *v < 0.0 {
+            if *v < 0.0 {
                 return Err(bad(field, format!("expected a finite non-negative number, got {v}")));
             }
             Ok(Some(*v))
@@ -176,21 +174,12 @@ impl JobRequest {
         match arch_val.get("dsp") {
             None | Some(JsonValue::Null) => {}
             Some(JsonValue::Arr(items)) => {
-                let mut caps = Vec::with_capacity(items.len());
-                for item in items {
-                    match item {
-                        JsonValue::Num(v, _) if v.is_finite() && *v >= 0.0 && v.fract() == 0.0 => {
-                            caps.push(*v as u64);
-                        }
-                        other => {
-                            return Err(bad(
-                                "dsp",
-                                format!("expected non-negative integers, got {}", kind(other)),
-                            ))
-                        }
-                    }
-                }
-                arch = arch.with_secondary_capacities(caps);
+                let caps = items.iter().map(|item| {
+                    item.as_u64().ok_or_else(|| {
+                        bad("dsp", format!("expected non-negative integers, got {}", kind(item)))
+                    })
+                });
+                arch = arch.with_secondary_capacities(caps.collect::<Result<_, _>>()?);
             }
             Some(other) => {
                 return Err(bad("dsp", format!("expected an array, got {}", kind(other))))

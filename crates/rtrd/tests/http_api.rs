@@ -187,6 +187,10 @@ fn client_errors_are_typed_not_fatal() {
     assert_eq!(bad.status, 400);
     assert!(bad.body.contains("\"error\":"), "400 must carry a message: {}", bad.body);
 
+    // 100,000 nested arrays must not overflow the accept thread's stack.
+    let deep = http(addr, "POST", "/v1/jobs", &"[".repeat(100_000));
+    assert_eq!(deep.status, 400, "deep nesting is a client error: {}", deep.body);
+
     let missing = http(addr, "POST", "/v1/jobs", "{\"arch\":{\"rmax\":10,\"ct_ns\":1.0}}");
     assert_eq!(missing.status, 400);
     assert!(

@@ -87,4 +87,9 @@ fn typed_errors_name_the_problem() {
         Err(rtrd::RequestError::Graph(_))
     ));
     assert!(matches!(JobRequest::from_json("not json at all"), Err(rtrd::RequestError::Json(_))));
+    // A body nested 100,000 deep is a typed error, not a stack overflow.
+    assert!(matches!(
+        JobRequest::from_json(&"[".repeat(100_000)),
+        Err(rtrd::RequestError::Json(_))
+    ));
 }

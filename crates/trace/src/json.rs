@@ -1,13 +1,26 @@
-//! A minimal JSON writer/parser for trace events.
+//! The workspace's JSON codec.
 //!
-//! The workspace builds offline with zero external dependencies, so the
-//! JSONL trace format is implemented here: a writer for [`Event`] and a
-//! small recursive-descent parser that accepts standard JSON (objects,
-//! arrays, strings with escapes, numbers, booleans, null) — enough to read
-//! back anything the writer produces, plus hand-edited files.
+//! The workspace builds offline with zero external dependencies, so JSON is
+//! implemented here, once: a recursive-descent reader ([`parse_value`]) for
+//! standard JSON (objects, arrays, strings with escapes, numbers, booleans,
+//! null), and the writing pieces every hand-rolled writer shares — string
+//! escaping ([`Escaped`], [`write_string`]) and field values
+//! ([`write_value`]). Trace JSONL, checkpoints and `rtrd` solve-cache
+//! entries, `rtrd` requests and responses, heartbeat lines, Perfetto
+//! exports and BENCH files all go through this module.
+//!
+//! The reader takes network input (`rtrd` submit bodies), so two guards
+//! keep it total: nesting deeper than [`MAX_DEPTH`] levels is an error
+//! rather than a stack overflow, and a number literal that does not fit
+//! an `f64` (`1e999`) is an error rather than infinity.
 
 use crate::event::{Event, EventKind, Value};
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest array/object nesting [`parse_value`] accepts. Every document
+/// the workspace writes nests at most five levels; the bound exists so a
+/// body of 100,000 `[` characters costs a [`ParseError`], not the stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// Serializes one event as a single-line JSON object:
 ///
@@ -33,37 +46,55 @@ pub fn write_event(out: &mut String, event: &Event) {
     out.push_str("}}");
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Displays a string with JSON escaping applied, without the surrounding
+/// quotes, for splicing into a `format!` template: `"`, `\`, `\n`, `\r`
+/// and `\t` get their short escapes, other control characters `\u00XX`,
+/// and everything else passes through.
+pub struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Copy runs of plain text in one write; every escaped character is
+        // ASCII, so each run ends on a character boundary.
+        let mut run = 0;
+        for (i, c) in self.0.char_indices() {
+            if c >= ' ' && c != '"' && c != '\\' {
+                continue;
             }
-            c => out.push(c),
+            f.write_str(&self.0[run..i])?;
+            run = i + 1;
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c => write!(f, "\\u{:04x}", c as u32)?,
+            }
         }
+        f.write_str(&self.0[run..])
     }
-    out.push('"');
 }
 
-fn write_value(out: &mut String, value: &Value) {
+/// Appends `s` to `out` as a quoted JSON string.
+pub fn write_string(out: &mut String, s: &str) {
+    let _ = write!(out, "\"{}\"", Escaped(s));
+}
+
+/// Appends one field value to `out`. Finite floats always carry a fraction
+/// (`4.0`, not `4`) so they re-parse as floats; non-finite ones, which JSON
+/// cannot express, become `null`.
+pub fn write_value(out: &mut String, value: &Value) {
     match value {
         Value::I64(v) => out.push_str(&v.to_string()),
         Value::U64(v) => out.push_str(&v.to_string()),
         Value::F64(v) if v.is_finite() => {
             let s = format!("{v}");
             out.push_str(&s);
-            // Keep floats recognizable as floats on re-parse.
             if !s.contains('.') && !s.contains('e') && !s.contains('E') {
                 out.push_str(".0");
             }
         }
-        // JSON has no NaN/inf; null is the conventional stand-in.
         Value::F64(_) => out.push_str("null"),
         Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
         Value::Str(v) => write_string(out, v),
@@ -87,12 +118,9 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A parsed JSON value.
-///
-/// The parser behind [`parse_event`] is generic; this type is its public
-/// face so other zero-dependency consumers (the bench-diff gate, the
-/// Perfetto round-trip tests, heartbeat readers) can parse arbitrary JSON
-/// documents without a second parser in the workspace.
+/// A parsed JSON value: what [`parse_value`] returns, so every consumer
+/// (trace JSONL, checkpoints, `rtrd` requests, the bench-diff gate,
+/// heartbeat readers) decodes from one parser.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -127,6 +155,17 @@ impl JsonValue {
         }
     }
 
+    /// The value as a count, id or size: a non-negative integral number no
+    /// larger than `u64::MAX`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonValue::Num(v, _) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
+                Some(*v as u64)
+            }
+            _ => None,
+        }
+    }
+
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -140,7 +179,8 @@ impl JsonValue {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed JSON or trailing characters.
+/// Returns [`ParseError`] on malformed JSON, trailing characters, nesting
+/// deeper than [`MAX_DEPTH`], or a number literal outside `f64`'s range.
 pub fn parse_value(text: &str) -> Result<JsonValue, ParseError> {
     let mut parser = Parser::new(text);
     let value = parser.value()?;
@@ -157,11 +197,13 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { text, bytes: text.as_bytes(), pos: 0 }
+        Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
@@ -186,8 +228,7 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, ParseError> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(&open @ (b'{' | b'[')) => self.nested(open),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -195,6 +236,16 @@ impl<'a> Parser<'a> {
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    fn nested(&mut self, open: u8) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let value = if open == b'{' { self.object() } else { self.array() };
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, ParseError> {
@@ -225,7 +276,10 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| ParseError { at: start, message: "invalid utf-8".into() })?;
         match text.parse::<f64>() {
-            Ok(v) => Ok(Json::Num(v, fractional)),
+            Ok(v) if v.is_finite() => Ok(Json::Num(v, fractional)),
+            Ok(_) => {
+                Err(ParseError { at: start, message: format!("number `{text}` overflows f64") })
+            }
             Err(_) => Err(ParseError { at: start, message: format!("bad number `{text}`") }),
         }
     }
@@ -341,19 +395,11 @@ fn json_to_value(json: &Json) -> Value {
     match json {
         Json::Null => Value::F64(f64::NAN),
         Json::Bool(b) => Value::Bool(*b),
-        Json::Num(v, fractional) => {
-            if !fractional && v.fract() == 0.0 {
-                if *v >= 0.0 && *v <= u64::MAX as f64 {
-                    Value::U64(*v as u64)
-                } else if *v >= i64::MIN as f64 {
-                    Value::I64(*v as i64)
-                } else {
-                    Value::F64(*v)
-                }
-            } else {
-                Value::F64(*v)
-            }
-        }
+        Json::Num(v, fractional) => match json.as_u64() {
+            Some(u) if !fractional => Value::U64(u),
+            _ if !fractional && v.fract() == 0.0 && *v >= i64::MIN as f64 => Value::I64(*v as i64),
+            _ => Value::F64(*v),
+        },
         Json::Str(s) => Value::Str(s.clone()),
         // Events carry flat fields; containers degrade to their JSON text.
         Json::Arr(_) | Json::Obj(_) => Value::Str(format!("{json:?}")),
@@ -367,13 +413,7 @@ fn json_to_value(json: &Json) -> Value {
 /// Returns [`ParseError`] on malformed JSON or a JSON shape that is not a
 /// trace event.
 pub fn parse_event(line: &str) -> Result<Event, ParseError> {
-    let mut parser = Parser::new(line);
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != line.len() {
-        return parser.err("trailing characters after the event object");
-    }
-    let Json::Obj(entries) = value else {
+    let Json::Obj(entries) = parse_value(line)? else {
         return Err(ParseError { at: 0, message: "event line is not an object".into() });
     };
     let get = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
@@ -516,6 +556,68 @@ mod tests {
         assert_eq!(parsed.get("t").and_then(JsonValue::as_str), Some(""));
         assert_eq!(parsed.get("u").and_then(JsonValue::as_str), Some("π"));
         assert!(parse_value(r#""unterminated→"#).is_err());
+    }
+
+    #[test]
+    fn values_parse_and_junk_is_rejected() {
+        assert_eq!(parse_value("\"a\\n\\u0041π\"").unwrap(), JsonValue::Str("a\nAπ".into()));
+        assert!(parse_value("[1, [2, [3]]] ").is_ok());
+        // Number literals must fit an f64: `1e999` is an error, not infinity.
+        for bad in [
+            "{\"a\" 1}",
+            "[1 2]",
+            "tru",
+            "\"\\x\"",
+            "\"unterminated",
+            "[[[[",
+            "-",
+            "1e999",
+            "[-1e400]",
+        ] {
+            assert!(parse_value(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nest(MAX_DEPTH)).is_ok());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse_value(&objects).is_ok());
+        let err = parse_value(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // 100,000 levels: a hostile request body, not a stack overflow.
+        assert!(parse_value(&nest(100_000)).is_err());
+        assert!(parse_value(&"[".repeat(100_000)).is_err());
+        assert!(parse_event(&format!("{}{}", "{\"a\":".repeat(100_000), "1")).is_err());
+    }
+
+    #[test]
+    fn as_u64_takes_non_negative_integral_numbers_only() {
+        let u = |text: &str| parse_value(text).unwrap().as_u64();
+        assert_eq!(u("0"), Some(0));
+        assert_eq!(u("42"), Some(42));
+        assert_eq!(u("7.0"), Some(7));
+        assert_eq!(u("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(u("-1"), None);
+        assert_eq!(u("1.5"), None);
+        assert_eq!(u("1e20"), None);
+        assert_eq!(u("\"3\""), None);
+        assert_eq!(u("null"), None);
+    }
+
+    #[test]
+    fn escaping_matches_the_reader() {
+        let text = "quote\" back\\ nl\n cr\r tab\t bell\u{7} del\u{7f} π→€";
+        assert_eq!(
+            Escaped(text).to_string(),
+            "quote\\\" back\\\\ nl\\n cr\\r tab\\t bell\\u0007 del\u{7f} π→€"
+        );
+        let mut quoted = String::new();
+        write_string(&mut quoted, text);
+        assert_eq!(parse_value(&quoted).unwrap(), JsonValue::Str(text.into()));
+        assert_eq!(Escaped("").to_string(), "");
+        assert_eq!(Escaped("plain").to_string(), "plain");
     }
 
     #[test]

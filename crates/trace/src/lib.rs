@@ -24,6 +24,10 @@
 //! * [`RunReport`] — aggregates events (in memory or parsed back from a
 //!   JSONL file via [`parse_jsonl`]) into a per-phase time breakdown with
 //!   counter totals and duration histograms.
+//! * [`parse_value`] / [`Escaped`] — the workspace's one JSON codec. Every
+//!   crate reads JSON through [`parse_value`] (nesting bounded at
+//!   [`MAX_DEPTH`], overflowing number literals rejected) and escapes
+//!   strings through [`Escaped`]; [`write_value`] renders field values.
 //! * [`Instrument`] — implemented by solver-statistics structs across the
 //!   workspace so each layer emits its counters through one shared path.
 //! * [`capture`] — diverts one thread's events into a buffer so parallel
@@ -83,7 +87,10 @@ pub mod status;
 pub use cancel::CancelFlag;
 pub use event::{Event, EventKind, Instrument, Value};
 pub use histogram::DurationHistogram;
-pub use json::{parse_event, parse_jsonl, parse_value, write_event, JsonValue, ParseError};
+pub use json::{
+    parse_event, parse_jsonl, parse_value, write_event, write_string, write_value, Escaped,
+    JsonValue, ParseError, MAX_DEPTH,
+};
 pub use report::{fmt_duration, GaugeStats, RunReport, SpanStats};
 pub use sink::{
     capture, counter, dispatch, dispatch_all, enabled, event, gauge, install, now_us, span,

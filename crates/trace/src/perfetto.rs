@@ -24,6 +24,7 @@
 //! pins down.
 
 use crate::event::{Event, EventKind, Value};
+use crate::json::{write_string, write_value};
 use std::collections::BTreeMap;
 
 /// The synthetic process id every track lives under.
@@ -42,39 +43,6 @@ struct Record {
     body: String,
 }
 
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn json_value(out: &mut String, value: &Value) {
-    match value {
-        Value::I64(v) => out.push_str(&v.to_string()),
-        Value::U64(v) => out.push_str(&v.to_string()),
-        Value::F64(v) if v.is_finite() => {
-            let s = format!("{v}");
-            out.push_str(&s);
-            if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-                out.push_str(".0");
-            }
-        }
-        Value::F64(_) => out.push_str("null"),
-        Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-        Value::Str(v) => json_string(out, v),
-    }
-}
-
 fn args_object(fields: &[(String, Value)], skip: &[&str]) -> String {
     let mut out = String::from("{");
     let mut first = true;
@@ -86,9 +54,9 @@ fn args_object(fields: &[(String, Value)], skip: &[&str]) -> String {
             out.push(',');
         }
         first = false;
-        json_string(&mut out, key);
+        write_string(&mut out, key);
         out.push(':');
-        json_value(&mut out, value);
+        write_value(&mut out, value);
     }
     out.push('}');
     out
@@ -141,7 +109,7 @@ where
                 let dur = event.u64_field("dur_us").unwrap_or(0);
                 let start = event.ts_us.saturating_sub(dur);
                 body.push_str("\"ph\":\"X\",\"name\":");
-                json_string(&mut body, &event.name);
+                write_string(&mut body, &event.name);
                 body.push_str(&format!(",\"dur\":{dur},\"args\":"));
                 body.push_str(&args_object(&event.fields, &["dur_us"]));
                 start
@@ -150,22 +118,22 @@ where
                 let total = counter_totals.entry(event.name.as_str()).or_insert(0);
                 *total = total.saturating_add(event.u64_field("value").unwrap_or(0));
                 body.push_str("\"ph\":\"C\",\"name\":");
-                json_string(&mut body, &event.name);
+                write_string(&mut body, &event.name);
                 body.push_str(&format!(",\"args\":{{\"total\":{total}}}"));
                 event.ts_us
             }
             EventKind::Gauge => {
                 body.push_str("\"ph\":\"C\",\"name\":");
-                json_string(&mut body, &event.name);
+                write_string(&mut body, &event.name);
                 body.push_str(",\"args\":{\"value\":");
                 let value = event.f64_field("value").unwrap_or(f64::NAN);
-                json_value(&mut body, &Value::F64(value));
+                write_value(&mut body, &Value::F64(value));
                 body.push('}');
                 event.ts_us
             }
             EventKind::Event => {
                 body.push_str("\"ph\":\"i\",\"s\":\"t\",\"name\":");
-                json_string(&mut body, &event.name);
+                write_string(&mut body, &event.name);
                 body.push_str(",\"args\":");
                 body.push_str(&args_object(&event.fields, &[]));
                 event.ts_us
@@ -191,7 +159,7 @@ where
         let mut line = format!(
             "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{PID},\"tid\":{tid},\"args\":{{\"name\":"
         );
-        json_string(&mut line, &track_name(tid));
+        write_string(&mut line, &track_name(tid));
         line.push_str("}}");
         push_record(&mut out, line);
     }
@@ -214,36 +182,19 @@ mod tests {
         Event { ts_us: ts, kind, name: name.into(), fields }
     }
 
-    fn parse_trace(doc: &str) -> Vec<Vec<(String, JsonValue)>> {
-        let JsonValue::Obj(top) = parse_value(doc).expect("export is valid JSON") else {
-            panic!("not an object");
-        };
-        let (_, JsonValue::Arr(items)) =
-            top.iter().find(|(k, _)| k == "traceEvents").expect("has traceEvents").clone()
-        else {
-            panic!("traceEvents is not an array");
-        };
-        items
-            .into_iter()
-            .map(|item| match item {
-                JsonValue::Obj(fields) => fields,
-                other => panic!("trace event is not an object: {other:?}"),
-            })
-            .collect()
+    fn parse_trace(doc: &str) -> Vec<JsonValue> {
+        match parse_value(doc).expect("export is valid JSON").get("traceEvents") {
+            Some(JsonValue::Arr(items)) => items.clone(),
+            other => panic!("traceEvents is not an array: {other:?}"),
+        }
     }
 
-    fn num(fields: &[(String, JsonValue)], key: &str) -> Option<f64> {
-        fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-            JsonValue::Num(v, _) => Some(*v),
-            _ => None,
-        })
+    fn num(item: &JsonValue, key: &str) -> Option<f64> {
+        item.get(key).and_then(JsonValue::as_f64)
     }
 
-    fn text(fields: &[(String, JsonValue)], key: &str) -> Option<String> {
-        fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-            JsonValue::Str(s) => Some(s.clone()),
-            _ => None,
-        })
+    fn text(item: &JsonValue, key: &str) -> Option<String> {
+        item.get(key).and_then(JsonValue::as_str).map(str::to_owned)
     }
 
     #[test]
@@ -298,12 +249,7 @@ mod tests {
         let names: Vec<String> = items
             .iter()
             .filter(|f| text(f, "ph").as_deref() == Some("M"))
-            .map(|f| {
-                let Some((_, JsonValue::Obj(args))) = f.iter().find(|(k, _)| k == "args") else {
-                    panic!("metadata without args");
-                };
-                text(args, "name").expect("thread name")
-            })
+            .map(|f| text(f.get("args").expect("metadata args"), "name").expect("thread name"))
             .collect();
         assert_eq!(names, vec!["explore", "candidate N=3", "subtree job 7"]);
 
@@ -326,12 +272,7 @@ mod tests {
         let totals: Vec<f64> = items
             .iter()
             .filter(|f| text(f, "name").as_deref() == Some("structured.nodes"))
-            .map(|f| {
-                let Some((_, JsonValue::Obj(args))) = f.iter().find(|(k, _)| k == "args") else {
-                    panic!("counter without args");
-                };
-                num(args, "total").expect("counter total")
-            })
+            .map(|f| num(f.get("args").expect("counter args"), "total").expect("counter total"))
             .collect();
         assert_eq!(totals, vec![10.0, 15.0]);
 

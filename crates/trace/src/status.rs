@@ -448,17 +448,10 @@ impl StatusSnapshot {
         field(&mut out, "area_prunes", self.area_prunes.to_string());
         field(&mut out, "memory_rejects", self.memory_rejects.to_string());
         field(&mut out, "dominance_prunes", self.dominance_prunes.to_string());
-        let incumbent = match self.incumbent_latency_ns {
-            Some(v) => {
-                let s = format!("{v}");
-                if s.contains('.') || s.contains('e') {
-                    s
-                } else {
-                    format!("{s}.0")
-                }
-            }
-            None => "null".to_owned(),
-        };
+        // `None` renders as `null`, the codec's stand-in for a missing float.
+        let mut incumbent = String::new();
+        let latency = self.incumbent_latency_ns.unwrap_or(f64::NAN);
+        crate::json::write_value(&mut incumbent, &crate::Value::F64(latency));
         field(&mut out, "incumbent_latency_ns", incumbent);
         field(&mut out, "windows_done", self.windows_done().to_string());
         field(&mut out, "windows_feasible", self.windows_feasible.to_string());

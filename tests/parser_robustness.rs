@@ -1,13 +1,12 @@
 //! Property test: no parser in the workspace panics on corrupted input.
 //!
 //! Each round takes a valid serialized artifact — a `.tg` task graph, a
-//! CPLEX BAS basis file, a checkpoint JSON, a trace JSONL line — applies a
-//! deterministic byte-level mutation (flip, truncate, duplicate, insert,
-//! delete), and feeds it back to the matching parser. The parser must
-//! return `Ok` or its typed error; a panic aborts the test binary.
+//! checkpoint JSON, a trace JSONL line — applies a deterministic
+//! byte-level mutation (flip, truncate, duplicate, insert, delete), and
+//! feeds it back to the matching parser. The parser must return `Ok` or
+//! its typed error; a panic aborts the test binary.
 
 use rtrpart::graph::TaskGraph;
-use rtrpart::milp::{solve_lp, Constraint, LinExpr, Model, Rel, Variable};
 use rtrpart::workloads::rng::Rng;
 use rtrpart::Checkpoint;
 
@@ -60,36 +59,6 @@ fn task_graph_parser_never_panics() {
     }
     // The uncorrupted round-trip still works after all that.
     assert!(TaskGraph::from_text(&valid).is_ok());
-}
-
-#[test]
-fn bas_parser_never_panics() {
-    // The doctest model from `to_bas_format`, enlarged a little so the BAS
-    // file has several rows to corrupt.
-    let mut m = Model::new();
-    let vars: Vec<_> = (0..4)
-        .map(|i| m.add_var(Variable::continuous(0.0, 10.0).with_name(format!("x{i}"))))
-        .collect();
-    for pair in vars.windows(2) {
-        m.add_constraint(Constraint::new(
-            LinExpr::new() + (1.0, pair[0]) + (1.0, pair[1]),
-            Rel::Le,
-            6.0,
-        ));
-    }
-    let mut obj = LinExpr::new();
-    for (i, &v) in vars.iter().enumerate() {
-        obj = obj + ((i + 1) as f64, v);
-    }
-    m.maximize(obj);
-    let basis = solve_lp(&m, None, 1e-7, 0).expect("lp solves").basis.expect("basis");
-    let valid = m.to_bas_format(&basis).expect("bas serializes");
-    let mut rng = Rng::new(0x6261_7369);
-    for _ in 0..ROUNDS {
-        let corrupt = mutate(&valid, &mut rng);
-        let _ = m.parse_bas_format(&corrupt);
-    }
-    assert_eq!(m.parse_bas_format(&valid).expect("round trip").statuses, basis.statuses);
 }
 
 #[test]

@@ -76,9 +76,8 @@ impl Daemon {
     }
 
     /// SIGKILL: no drain, no cleanup — the crash the cache must survive.
-    fn kill(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+    fn kill(self) {
+        drop(self);
     }
 
     /// SIGTERM, then wait for exit; returns (exit-success, stdout rest).
@@ -97,6 +96,15 @@ impl Daemon {
         let mut rest = String::new();
         let _ = self.stdout.read_to_string(&mut rest);
         (exit.success(), rest)
+    }
+}
+
+/// Every daemon dies with its handle, so a failing assertion never leaks
+/// one: SIGKILL (a no-op once it has exited), then reap.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
