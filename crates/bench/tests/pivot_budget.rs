@@ -1,0 +1,63 @@
+//! A budgeted solve never pivots past its budget. When a warm-started node
+//! LP falls back to a cold solve, the fallback spends what the warm attempt
+//! left of the node's pivot cap, not a second full cap.
+//!
+//! Pivots are read off the process-global status board, so this test is
+//! its own binary: nothing else in the process may pivot while it runs.
+//! The models are `rtr-core`'s feasibility ILPs at N = 3 over random graphs
+//! of 6–10 tasks, the shape the `milp_exact` benchmark workload solves.
+
+use rtr_core::model::{IlpModel, ModelOptions};
+use rtr_core::Architecture;
+use rtr_graph::{Area, Latency, TaskGraph};
+use rtr_milp::{solve_mip, SolveOptions};
+use rtr_trace::status::board;
+use rtr_workloads::random::{random_layered, RandomGraphParams};
+
+/// A device holding about half the graph's minimum area, and at least its
+/// largest task.
+fn half_area_device(graph: &TaskGraph) -> Architecture {
+    let largest = graph.tasks().iter().map(|t| t.min_area_point().area().units()).max();
+    let r_max = (graph.total_min_area().units() / 2).max(largest.unwrap_or(1)).max(64);
+    Architecture::new(Area::new(r_max), 64, Latency::from_us(1.0))
+}
+
+#[test]
+fn budgeted_solves_never_pivot_past_the_limit() {
+    let n = 3;
+    let mut solves = 0usize;
+    let mut over = Vec::new();
+    for index in 0..20u64 {
+        let params = RandomGraphParams {
+            tasks: 6 + (index % 5) as usize,
+            max_layer_width: 3,
+            ..Default::default()
+        };
+        let graph = random_layered(2_000_000 + index, &params);
+        let arch = half_area_device(&graph);
+        let d_max = rtr_core::max_latency(&graph, &arch, n);
+        let ilp = IlpModel::build(&graph, &arch, n, d_max, Latency::ZERO, &ModelOptions::default())
+            .expect("model builds");
+        for limit in (5..=320).step_by(15) {
+            let options = SolveOptions::feasibility().with_pivot_limit(limit);
+            let before = board().snapshot().lp_pivots;
+            let out = solve_mip(ilp.model(), &options).expect("budgeted solve runs");
+            let pivots = board().snapshot().lp_pivots - before;
+            solves += 1;
+            assert!(
+                out.stats.simplex_iterations <= limit,
+                "graph {index}, limit {limit}: charged {}",
+                out.stats.simplex_iterations
+            );
+            if pivots > limit as u64 {
+                over.push((index, limit, pivots));
+            }
+        }
+    }
+    assert!(solves >= 400, "only {solves} solves ran");
+    assert!(
+        over.is_empty(),
+        "{} of {solves} budgeted solves pivoted past their limit (graph, limit, pivots): {over:?}",
+        over.len()
+    );
+}

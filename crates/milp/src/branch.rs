@@ -4,7 +4,7 @@
 use crate::cuts::CutPool;
 use crate::error::MilpError;
 use crate::model::{effective_bounds, Model, Sense, VarKind};
-use crate::simplex::{resolve_lp_with_deadline, solve_lp_with_deadline, Basis, LpStatus};
+use crate::simplex::{resolve_in, solve_in, Basis, LpMatrix, LpStatus, SharedBasis};
 use crate::solution::{Goal, Outcome, Solution, SolveOptions, SolveStats, Status};
 use rtr_trace::Instrument as _;
 use std::rc::Rc;
@@ -13,7 +13,7 @@ use std::time::Instant;
 /// Tolerance within which a value counts as integral.
 const INT_TOL: f64 = 1e-6;
 /// Feasibility/optimality tolerance of every simplex solve.
-const LP_TOL: f64 = 1e-7;
+pub(crate) const LP_TOL: f64 = 1e-7;
 /// Maximum root cut-separation rounds.
 const MAX_CUT_ROUNDS: usize = 5;
 /// A variable's pseudo-cost direction is *reliable* once it has this many
@@ -39,6 +39,12 @@ const PC_EPS: f64 = 1e-6;
 /// tightens one variable's bounds, which leaves that basis dual feasible —
 /// and falls back to a cold start on any trouble, so the search outcome is
 /// independent of the flag.
+///
+/// The tree builds its constraint matrix once (again only when a root cut
+/// round changes the working model), and each parent basis is factorized
+/// once: its strong-branch probes and both children share the
+/// factorization. [`SolveStats::refactorizations`] counts only the
+/// factorizations actually computed, so a shared one counts once.
 ///
 /// When a [`rtr_trace`] sink is installed, each solve closes one
 /// `milp.solve` span and emits its [`SolveStats`] as `milp.*` counters
@@ -105,10 +111,10 @@ pub fn solve_mip_warm(
 }
 
 /// A branch-and-bound node: its bound box plus the parent LP's optimal
-/// basis (shared between sibling children).
+/// basis (shared, with its factorization, between sibling children).
 struct Node {
     bounds: Vec<(f64, f64)>,
-    parent_basis: Option<Rc<Basis>>,
+    parent_basis: Option<Rc<SharedBasis>>,
     /// Parent LP objective in minimization terms — this node's dual bound.
     bound: f64,
     /// `(variable, fractional distance to the branched bound, went up)` of
@@ -190,7 +196,7 @@ fn branch_and_bound(
     let mut incumbent_obj = f64::INFINITY;
     let mut stack: Vec<Node> = vec![Node {
         bounds: root_bounds.clone(),
-        parent_basis: root_basis.map(|b| Rc::new(b.clone())),
+        parent_basis: root_basis.map(|b| Rc::new(SharedBasis::new(b.clone()))),
         bound: f64::NEG_INFINITY,
         branch: None,
     }];
@@ -211,6 +217,8 @@ fn branch_and_bound(
     // every descendant node LP solves the augmented model.
     let mut pool = CutPool::new();
     let mut augmented: Option<Model> = None;
+    // The working model's LP matrix, shared by every LP of the tree.
+    let mut matrix = LpMatrix::new(model);
     let mut pc = PseudoCosts::new(model.vars.len());
     // Cuts and pseudo-cost machinery aim at proving bounds; the paper's
     // feasibility hot path keeps the historical cut-free, most-fractional
@@ -276,13 +284,10 @@ fn branch_and_bound(
         let deadline = options.time_limit.map(|t| start + t);
         let lp_start = Instant::now();
         let warm_basis = if options.warm_start { parent_basis.as_deref() } else { None };
-        let smodel: &Model = augmented.as_ref().unwrap_or(model);
         let cap = lp_cap(&stats);
         let lp = match warm_basis {
-            Some(basis) => {
-                resolve_lp_with_deadline(smodel, Some(&bounds), basis, LP_TOL, cap, deadline)
-            }
-            None => solve_lp_with_deadline(smodel, Some(&bounds), LP_TOL, cap, deadline),
+            Some(basis) => resolve_in(&matrix, Some(&bounds), basis, LP_TOL, cap, deadline),
+            None => solve_in(&matrix, Some(&bounds), LP_TOL, cap, deadline),
         };
         let lp = match lp {
             Ok(lp) => lp,
@@ -355,7 +360,7 @@ fn branch_and_bound(
                 }
                 let Some(basis) = lp.basis.as_ref() else { break };
                 let work: &Model = augmented.as_ref().unwrap_or(model);
-                let res = pool.separate(model, work, &root_bounds, basis, LP_TOL, &lp.values);
+                let res = pool.separate(model, work, &matrix, &root_bounds, basis, &lp.values);
                 stats.cuts_generated += res.total();
                 if res.gomory > 0 {
                     stats.gomory_rounds += 1;
@@ -378,22 +383,18 @@ fn branch_and_bound(
                 }
                 let re_cap = lp_cap(&stats);
                 let re_start = Instant::now();
-                let relp = match solve_lp_with_deadline(
-                    &work_next,
-                    Some(&root_bounds),
-                    LP_TOL,
-                    re_cap,
-                    deadline,
-                ) {
-                    Ok(relp) => relp,
-                    Err(MilpError::IterationLimit { .. }) if budgeted => {
-                        stats.lp_time += re_start.elapsed();
-                        stats.simplex_iterations = options.pivot_limit;
-                        saw_limit = true;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                };
+                let matrix_next = LpMatrix::new(&work_next);
+                let relp =
+                    match solve_in(&matrix_next, Some(&root_bounds), LP_TOL, re_cap, deadline) {
+                        Ok(relp) => relp,
+                        Err(MilpError::IterationLimit { .. }) if budgeted => {
+                            stats.lp_time += re_start.elapsed();
+                            stats.simplex_iterations = options.pivot_limit;
+                            saw_limit = true;
+                            break;
+                        }
+                        Err(e) => return Err(e),
+                    };
                 stats.lp_time += re_start.elapsed();
                 stats.simplex_iterations += relp.iterations;
                 stats.refactorizations += relp.refactorizations;
@@ -402,6 +403,7 @@ fn branch_and_bound(
                 match relp.status {
                     LpStatus::Optimal => {
                         augmented = Some(work_next);
+                        matrix = matrix_next;
                         lp = relp;
                     }
                     LpStatus::Infeasible => {
@@ -498,12 +500,15 @@ fn branch_and_bound(
             continue;
         }
 
+        // This node's optimal basis, factorized by the first LP that installs
+        // it: a strong-branch probe or a child.
+        let node_basis = lp.basis.take().map(|b| Rc::new(SharedBasis::new(b)));
+
         // Reliability initialization: strong-branch the most fractional
         // candidates whose pseudo-costs have too few observations, seeding
         // the tables with the observed LP degradations. Every probe LP is
         // iteration-capped and warm-started from this node's basis.
         if use_pc {
-            let smodel: &Model = augmented.as_ref().unwrap_or(model);
             let mut order: Vec<usize> = (0..cands.len()).collect();
             order.sort_by(|&a, &b| {
                 let fa = (cands[a].1 - cands[a].1.floor() - 0.5).abs();
@@ -539,22 +544,11 @@ fn branch_and_bound(
                     }
                     stats.strong_branch_evals += 1;
                     let sb_start = Instant::now();
-                    let probe = match lp.basis.as_ref() {
-                        Some(b) => resolve_lp_with_deadline(
-                            smodel,
-                            Some(&cb),
-                            b,
-                            LP_TOL,
-                            STRONG_BRANCH_ITERS,
-                            deadline,
-                        ),
-                        None => solve_lp_with_deadline(
-                            smodel,
-                            Some(&cb),
-                            LP_TOL,
-                            STRONG_BRANCH_ITERS,
-                            deadline,
-                        ),
+                    let probe = match node_basis.as_deref() {
+                        Some(b) => {
+                            resolve_in(&matrix, Some(&cb), b, LP_TOL, STRONG_BRANCH_ITERS, deadline)
+                        }
+                        None => solve_in(&matrix, Some(&cb), LP_TOL, STRONG_BRANCH_ITERS, deadline),
                     };
                     let sb = match probe {
                         Ok(sb) => sb,
@@ -618,16 +612,15 @@ fn branch_and_bound(
         // Both children warm-start from this node's optimal basis:
         // the only change is one variable's bound, which leaves the
         // basis dual feasible.
-        let child_basis = lp.basis.map(Rc::new);
         let down = Node {
             bounds: down,
-            parent_basis: child_basis.clone(),
+            parent_basis: node_basis.clone(),
             bound: lp_obj_min,
             branch: Some((j, v - floor, false)),
         };
         let up = Node {
             bounds: up,
-            parent_basis: child_basis,
+            parent_basis: node_basis,
             bound: lp_obj_min,
             branch: Some((j, floor + 1.0 - v, true)),
         };

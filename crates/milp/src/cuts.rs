@@ -25,8 +25,9 @@
 //! back to the caller for removal (activity-based aging), keeping the
 //! working LP small.
 
+use crate::branch::LP_TOL;
 use crate::model::{Constraint, LinExpr, Model, Rel, VarId, VarKind};
-use crate::simplex::{fractional_rows, Basis};
+use crate::simplex::{fractional_rows, Basis, LpMatrix};
 use std::collections::BTreeSet;
 
 /// Hard cap on pool size: separation stops adding once this many cuts are
@@ -205,20 +206,20 @@ impl CutPool {
     ///
     /// `base` is the **original** model (knapsack separation scans only its
     /// rows, never cut rows); `work` is the current working model (base
-    /// plus active cuts) that `basis` belongs to; `root_bounds` are the
-    /// root's integer-rounded bounds, making every derived cut globally
-    /// valid for the subtree.
+    /// plus active cuts) that `basis` belongs to, and `matrix` is its LP
+    /// matrix; `root_bounds` are the root's integer-rounded bounds, making
+    /// every derived cut globally valid for the subtree.
     pub fn separate(
         &mut self,
         base: &Model,
         work: &Model,
+        matrix: &LpMatrix,
         root_bounds: &[(f64, f64)],
         basis: &Basis,
-        tol: f64,
         x: &[f64],
     ) -> SeparationResult {
         let knapsack = self.separate_knapsack(base, x);
-        let gomory = self.separate_gomory(work, root_bounds, basis, tol, x);
+        let gomory = self.separate_gomory(work, matrix, root_bounds, basis, x);
         SeparationResult { gomory, knapsack }
     }
 
@@ -321,13 +322,14 @@ impl CutPool {
     }
 
     /// Gomory mixed-integer cuts from fractional integer basics of the
-    /// working model's optimal basis.
+    /// working model's optimal basis, read off the tableau at the branch
+    /// and bound LP tolerance.
     fn separate_gomory(
         &mut self,
         work: &Model,
+        matrix: &LpMatrix,
         root_bounds: &[(f64, f64)],
         basis: &Basis,
-        tol: f64,
         x: &[f64],
     ) -> usize {
         let n = work.vars.len();
@@ -335,9 +337,14 @@ impl CutPool {
         for (j, v) in work.vars.iter().enumerate() {
             is_int[j] = matches!(v.kind, VarKind::Integer | VarKind::Binary);
         }
-        let Some(snap) =
-            fractional_rows(work, Some(root_bounds), basis, tol, &is_int, MAX_GOMORY_PER_ROUND)
-        else {
+        let Some(snap) = fractional_rows(
+            matrix,
+            Some(root_bounds),
+            basis,
+            LP_TOL,
+            &is_int,
+            MAX_GOMORY_PER_ROUND,
+        ) else {
             return 0;
         };
         let mut added = 0usize;
@@ -535,7 +542,7 @@ mod tests {
         let bounds = root_bounds(&m);
         let basis = lp.basis.clone().unwrap();
         let mut pool = CutPool::new();
-        let added = pool.separate_gomory(&m, &bounds, &basis, TOL, &lp.values);
+        let added = pool.separate_gomory(&m, &LpMatrix::new(&m), &bounds, &basis, &lp.values);
         assert!(added >= 1, "expected a Gomory cut");
         // Validity: every integer point in the box that satisfies the rows
         // must satisfy every cut.

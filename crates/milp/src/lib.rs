@@ -63,8 +63,5 @@ pub use branch::{solve_mip, solve_mip_warm};
 pub use error::MilpError;
 pub use model::{Constraint, LinExpr, Model, Rel, Sense, VarId, VarKind, Variable};
 pub use presolve::{presolve, PresolveOutcome, PresolveStats};
-pub use simplex::{
-    resolve_lp, resolve_lp_with_deadline, solve_lp, solve_lp_with_deadline, Basis, LpOutcome,
-    LpStatus, VarStatus,
-};
+pub use simplex::{resolve_lp, solve_lp, Basis, LpOutcome, LpStatus, VarStatus};
 pub use solution::{Goal, Outcome, Solution, SolveOptions, SolveStats, Status};

@@ -8,8 +8,10 @@
 //! switches to Bland's rule after a run of degenerate pivots — but replaces
 //! the `m × (n + m)` tableau with a *revised* formulation:
 //!
-//! * the constraint matrix `[A | I]` is stored once in compressed sparse
-//!   column (CSC) form and never modified;
+//! * the constraint matrix `[A | I]` is stored once per model in compressed
+//!   sparse column (CSC) form and never modified: branch and bound builds
+//!   it once per tree, and every node LP borrows it and copies only its
+//!   bound box;
 //! * the basis inverse is represented as a product-form *eta file*: every
 //!   pivot appends one elementary eta matrix, and `B⁻¹v` / `yᵀB⁻¹` are
 //!   computed by [`ftran`] / [`btran`] sweeps over the file;
@@ -28,12 +30,28 @@
 //!   the parent basis *dual feasible*, so a **dual simplex** drives the few
 //!   newly infeasible basics out — typically one pivot per branching
 //!   decision instead of a full cold solve;
+//! * inside branch and bound a parent basis carries its factorization: the
+//!   first LP that installs it factorizes it, and the node's other
+//!   strong-branch probes and children copy that eta file. A factorization
+//!   depends only on the set of basic columns and the matrix, so the copy
+//!   is bit-identical to a fresh one;
 //! * any trouble (stale basis, singular refactorization, dual stall or
 //!   budget overrun) falls back to a cold primal solve, so a warm entry can
 //!   never produce a different status or objective than a cold one.
+//!
+//! **Zero dual prices.** When every basic column's cost is zero, the
+//! multipliers `y = c_B B⁻¹` are exactly zero and each reduced cost is the
+//! column's own cost, so pricing skips the BTRAN and the `y·a_j` products.
+//! This is exact, not an approximation: the skipped products could only
+//! yield signed zeros, and no pricing decision looks at a zero's sign. The
+//! check runs on every iteration from the current basis, so a model with an
+//! objective still prices whenever a costed column is basic. Feasibility
+//! models, which have no objective, price only in phase 1, whose basic
+//! costs are ±1.
 
 use crate::error::MilpError;
-use crate::model::{effective_bounds, Model, Rel, Sense};
+use crate::model::{effective_bounds, LinExpr, Model, Rel, Sense};
+use std::cell::OnceCell;
 use std::time::Instant;
 
 /// Ratio-test pivots smaller than this are skipped as numerically unsafe.
@@ -113,7 +131,8 @@ pub struct LpOutcome {
     pub iterations: usize,
     /// The optimal basis, present iff `status` is [`LpStatus::Optimal`].
     pub basis: Option<Basis>,
-    /// Basis refactorizations performed.
+    /// Basis factorizations performed. A factorization copied from a basis
+    /// that an earlier LP already factorized counts as none.
     pub refactorizations: usize,
     /// Devex reference-framework resets performed.
     pub devex_resets: usize,
@@ -269,18 +288,17 @@ enum DualRun {
     Fallback,
 }
 
-enum Built<'a> {
-    Ready(Box<Solver<'a>>),
-    /// Bound tightening crossed a variable's bounds: trivially infeasible.
-    Crossed,
-}
-
-/// Revised-simplex working state over the CSC matrix `[A | I]`.
-struct Solver<'a> {
-    model: &'a Model,
+/// What one model fixes for every LP over it: the CSC matrix `[A | I]`,
+/// the right-hand sides, the default column bounds (the variables'
+/// effective bounds, then each row's slack bounds) and the phase-2 costs.
+///
+/// Branch and bound builds it once per tree, and again only when a root
+/// cut round changes the working model. Node LPs, strong-branch probes,
+/// cold fallbacks and tableau extraction borrow it and copy only their own
+/// bound box.
+pub(crate) struct LpMatrix {
     n: usize,
     m: usize,
-    total: usize,
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
     col_val: Vec<f64>,
@@ -288,20 +306,11 @@ struct Solver<'a> {
     lb: Vec<f64>,
     ub: Vec<f64>,
     cost: Vec<f64>,
-    x: Vec<f64>,
-    at_upper: Vec<bool>,
-    is_basic: Vec<bool>,
-    order: Vec<usize>,
-    etas: EtaFile,
-    pivots_since_refactor: usize,
-    refactorizations: usize,
-    iterations: usize,
-    devex_resets: usize,
-    tol: f64,
+    objective: LinExpr,
 }
 
-impl<'a> Solver<'a> {
-    fn build(model: &'a Model, bounds_override: Option<&[(f64, f64)]>, tol: f64) -> Built<'a> {
+impl LpMatrix {
+    pub(crate) fn new(model: &Model) -> Self {
         let n = model.vars.len();
         let m = model.constraints.len();
         let total = n + m;
@@ -309,15 +318,7 @@ impl<'a> Solver<'a> {
         let mut lb = vec![0.0f64; total];
         let mut ub = vec![0.0f64; total];
         for (j, v) in model.vars.iter().enumerate() {
-            let (lo, hi) = match bounds_override {
-                Some(b) => b[j],
-                None => effective_bounds(v),
-            };
-            lb[j] = lo;
-            ub[j] = hi;
-            if lo > hi {
-                return Built::Crossed;
-            }
+            (lb[j], ub[j]) = effective_bounds(v);
         }
         for (i, c) in model.constraints.iter().enumerate() {
             let (lo, hi) = match c.rel {
@@ -368,11 +369,9 @@ impl<'a> Solver<'a> {
         }
         col_ptr[total] = row_idx.len();
 
-        Built::Ready(Box::new(Solver {
-            model,
+        LpMatrix {
             n,
             m,
-            total,
             col_ptr,
             row_idx,
             col_val,
@@ -380,6 +379,97 @@ impl<'a> Solver<'a> {
             lb,
             ub,
             cost,
+            objective: model.objective.clone(),
+        }
+    }
+
+    fn col(&self, j: usize) -> (&[usize], &[f64]) {
+        let (s, e) = (self.col_ptr[j], self.col_ptr[j + 1]);
+        (&self.row_idx[s..e], &self.col_val[s..e])
+    }
+}
+
+/// The factorization of a basis: its eta file and the row → column pairing
+/// the factorization chose.
+#[derive(Debug, Clone)]
+struct Factor {
+    etas: EtaFile,
+    order: Vec<usize>,
+}
+
+/// A basis shared by every LP warm-started from it (a node's strong-branch
+/// probes and both its children), with a slot for its factorization.
+///
+/// The first install factorizes the basis and fills the slot; later
+/// installs copy the eta file and row pairing instead. A factorization
+/// depends only on the set of basic columns and the matrix, so the copy is
+/// bit-identical to a fresh one. A failed factorization is never stored.
+pub(crate) struct SharedBasis {
+    pub(crate) basis: Basis,
+    factor: OnceCell<Factor>,
+}
+
+impl SharedBasis {
+    pub(crate) fn new(basis: Basis) -> Self {
+        SharedBasis { basis, factor: OnceCell::new() }
+    }
+}
+
+/// FNV-1a over a basis's row → column pairing: the `milp.warm_basis`
+/// failpoint key, so each installed basis trips independently.
+fn basis_key(order: &[usize]) -> u64 {
+    order
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &c| (h ^ c as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Revised-simplex working state over a borrowed [`LpMatrix`].
+struct Solver<'a> {
+    mat: &'a LpMatrix,
+    n: usize,
+    m: usize,
+    total: usize,
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    x: Vec<f64>,
+    at_upper: Vec<bool>,
+    is_basic: Vec<bool>,
+    order: Vec<usize>,
+    etas: EtaFile,
+    pivots_since_refactor: usize,
+    refactorizations: usize,
+    /// `true` once the installed basis's factorization was copied from its
+    /// slot rather than computed (and so not counted in `refactorizations`).
+    copied_factor: bool,
+    iterations: usize,
+    devex_resets: usize,
+    tol: f64,
+}
+
+impl<'a> Solver<'a> {
+    /// Copies the matrix's bound box, with the structural bounds replaced
+    /// by `bounds_override` if given. `None` when an override crosses a
+    /// variable's bounds: the LP is trivially infeasible.
+    fn new(mat: &'a LpMatrix, bounds_override: Option<&[(f64, f64)]>, tol: f64) -> Option<Self> {
+        let (n, m) = (mat.n, mat.m);
+        let total = n + m;
+        let mut lb = mat.lb.clone();
+        let mut ub = mat.ub.clone();
+        if let Some(bounds) = bounds_override {
+            for ((lo, hi), &bound) in lb.iter_mut().zip(ub.iter_mut()).zip(&bounds[..n]) {
+                (*lo, *hi) = bound;
+            }
+        }
+        if lb[..n].iter().zip(&ub[..n]).any(|(lo, hi)| lo > hi) {
+            return None;
+        }
+        Some(Solver {
+            mat,
+            n,
+            m,
+            total,
+            lb,
+            ub,
             x: vec![0.0; total],
             at_upper: vec![false; total],
             is_basic: vec![false; total],
@@ -387,31 +477,39 @@ impl<'a> Solver<'a> {
             etas: EtaFile::new(m),
             pivots_since_refactor: 0,
             refactorizations: 0,
+            copied_factor: false,
             iterations: 0,
             devex_resets: 0,
             tol,
-        }))
-    }
-
-    fn col(&self, j: usize) -> (&[usize], &[f64]) {
-        let (s, e) = (self.col_ptr[j], self.col_ptr[j + 1]);
-        (&self.row_idx[s..e], &self.col_val[s..e])
+        })
     }
 
     fn scatter(&self, j: usize, out: &mut [f64]) {
-        let (rows, vals) = self.col(j);
+        let (rows, vals) = self.mat.col(j);
         for (&i, &v) in rows.iter().zip(vals) {
             out[i] += v;
         }
     }
 
     fn dot_col(&self, j: usize, y: &[f64]) -> f64 {
-        let (rows, vals) = self.col(j);
+        let (rows, vals) = self.mat.col(j);
         rows.iter().zip(vals).map(|(&i, &v)| y[i] * v).sum()
     }
 
     fn is_fixed(&self, j: usize) -> bool {
         self.lb[j].is_finite() && self.ub[j].is_finite() && self.ub[j] - self.lb[j] <= self.tol
+    }
+
+    /// Turns the basic costs held in `y` into the simplex multipliers
+    /// `y = c_B B⁻¹`. Returns `false`, skipping the BTRAN, when every basic
+    /// cost is zero: `y` is then exactly zero, so each reduced cost is the
+    /// column's own cost and the caller skips the `y·a_j` products too.
+    fn btran_prices(&self, y: &mut [f64]) -> bool {
+        if y.iter().all(|&c| c == 0.0) {
+            return false;
+        }
+        self.etas.btran(y);
+        true
     }
 
     /// Parks every nonbasic column at a finite bound (free columns at 0),
@@ -437,13 +535,10 @@ impl<'a> Solver<'a> {
     /// Solves `B x_B = b - N x_N` through the eta file and stores the basic
     /// values.
     fn compute_basic_values(&mut self) {
-        let mut r = self.b.clone();
+        let mut r = self.mat.b.clone();
         for j in 0..self.total {
             if !self.is_basic[j] && self.x[j] != 0.0 {
-                let (rows, vals) = (
-                    &self.row_idx[self.col_ptr[j]..self.col_ptr[j + 1]],
-                    &self.col_val[self.col_ptr[j]..self.col_ptr[j + 1]],
-                );
+                let (rows, vals) = self.mat.col(j);
                 for (&i, &v) in rows.iter().zip(vals.iter()) {
                     r[i] -= v * self.x[j];
                 }
@@ -468,13 +563,16 @@ impl<'a> Solver<'a> {
         self.pivots_since_refactor = 0;
     }
 
-    /// Installs a caller-supplied basis: validates it, refactorizes, and
-    /// recomputes the basic values. Returns `false` (leaving the solver in
-    /// an unspecified state) if the basis is stale or singular.
-    fn install_basis(&mut self, basis: &Basis) -> bool {
+    /// Installs a caller-supplied basis: validates it, takes its
+    /// factorization from `slot` (factorizing and filling the slot on the
+    /// first install), and recomputes the basic values. Returns `false`
+    /// (leaving the solver in an unspecified state) if the basis is stale
+    /// or singular.
+    fn install_basis(&mut self, basis: &Basis, slot: &OnceCell<Factor>) -> bool {
         // Fault-injection site: a rejected warm basis falls back to the cold
-        // start, so forcing `false` here must never change the solution.
-        if rtr_trace::failpoint::failpoint("milp.warm_basis", basis.order.len() as u64) {
+        // start. Keyed by the basis it installs, so distinct bases trip
+        // independently and every install of one basis trips alike.
+        if rtr_trace::failpoint::failpoint("milp.warm_basis", basis_key(&basis.order)) {
             return false;
         }
         if basis.statuses.len() != self.total || basis.order.len() != self.m {
@@ -493,7 +591,6 @@ impl<'a> Solver<'a> {
         for j in 0..self.total {
             self.is_basic[j] = basis.statuses[j] == VarStatus::Basic;
         }
-        self.order.clone_from(&basis.order);
         for j in 0..self.total {
             if self.is_basic[j] {
                 continue;
@@ -517,35 +614,56 @@ impl<'a> Solver<'a> {
                 }
             }
         }
-        if !self.refactorize() {
-            return false;
+        if let Some(factor) = slot.get() {
+            self.etas.clone_from(&factor.etas);
+            self.order.clone_from(&factor.order);
+            self.pivots_since_refactor = 0;
+            self.copied_factor = true;
+        } else {
+            self.order.clone_from(&basis.order);
+            if !self.factorize() {
+                return false;
+            }
+            // The slot is empty here; a filled one would hold the same bits.
+            let _ = slot.set(Factor { etas: self.etas.clone(), order: self.order.clone() });
         }
         self.compute_basic_values();
         true
     }
 
-    /// Rebuilds the eta file from the basis columns with partial pivoting
-    /// (sparsest column first, largest available pivot per column). May
-    /// re-pair rows and columns; `order` is updated accordingly. Returns
-    /// `false` on a (numerically) singular basis.
+    /// An in-solve refactorization (on cadence, or retrying after drift):
+    /// [`Self::factorize`] behind the `milp.refactorize` failpoint.
     fn refactorize(&mut self) -> bool {
         // Fault-injection site: callers treat a failed refactorization as a
-        // numerically singular basis and recover (cold restart or retry at
-        // the next pivot), so forcing `false` must never change the solution.
+        // numerically singular basis and recover (retry at the next pivot,
+        // or a cold restart), so a trip never yields a wrong answer. A
+        // copied install counts in the key like a computed one, so sharing
+        // a factorization never changes which visits trip.
+        let factorizations = self.refactorizations + usize::from(self.copied_factor);
         if rtr_trace::failpoint::failpoint(
             "milp.refactorize",
-            (self.refactorizations as u64).wrapping_mul(31).wrapping_add(self.etas.len() as u64),
+            (factorizations as u64).wrapping_mul(31).wrapping_add(self.etas.len() as u64),
         ) {
             return false;
         }
+        self.factorize()
+    }
+
+    /// Rebuilds the eta file from the basis columns with partial pivoting
+    /// (sparsest column first, largest available pivot per column). May
+    /// re-pair rows and columns; `order` is updated accordingly. Returns
+    /// `false` on a (numerically) singular basis. The result depends only
+    /// on the set of basic columns and the matrix.
+    fn factorize(&mut self) -> bool {
         self.etas.clear();
         let m = self.m;
         let mut row_used = vec![false; m];
         let mut new_order = vec![usize::MAX; m];
         let mut cols = self.order.clone();
-        cols.sort_by_key(|&c| (self.col_ptr[c + 1] - self.col_ptr[c], c));
+        cols.sort_by_key(|&c| (self.mat.col_ptr[c + 1] - self.mat.col_ptr[c], c));
+        let mut w = vec![0.0f64; m];
         for &c in &cols {
-            let mut w = vec![0.0f64; m];
+            w.fill(0.0);
             self.scatter(c, &mut w);
             self.etas.ftran(&mut w);
             let mut best_row = usize::MAX;
@@ -609,7 +727,7 @@ impl<'a> Solver<'a> {
     fn finished(&self, status: LpStatus, warm: bool) -> LpOutcome {
         let (values, objective, basis) = if status == LpStatus::Optimal {
             let values: Vec<f64> = self.x[..self.n].to_vec();
-            let objective = self.model.objective.eval(&values);
+            let objective = self.mat.objective.eval(&values);
             (values, objective, Some(self.snapshot_basis()))
         } else {
             (Vec::new(), 0.0, None)
@@ -630,13 +748,13 @@ impl<'a> Solver<'a> {
     /// entering candidate exists under the phase-2 costs) — the
     /// precondition for running the dual simplex.
     fn dual_feasible(&self) -> bool {
-        let mut y: Vec<f64> = self.order.iter().map(|&k| self.cost[k]).collect();
-        self.etas.btran(&mut y);
+        let mut y: Vec<f64> = self.order.iter().map(|&k| self.mat.cost[k]).collect();
+        let priced = self.btran_prices(&mut y);
         for j in 0..self.total {
             if self.is_basic[j] || self.is_fixed(j) {
                 continue;
             }
-            let d = self.cost[j] - self.dot_col(j, &y);
+            let d = if priced { self.mat.cost[j] - self.dot_col(j, &y) } else { self.mat.cost[j] };
             let free = !self.lb[j].is_finite() && !self.ub[j].is_finite();
             if free {
                 if d.abs() > self.tol {
@@ -734,13 +852,13 @@ impl<'a> Solver<'a> {
             }
             if !phase1 {
                 for (ci, &k) in c_b.iter_mut().zip(&self.order) {
-                    *ci = self.cost[k];
+                    *ci = self.mat.cost[k];
                 }
             }
 
             // Simplex multipliers y = c_B B⁻¹, then reduced costs per column.
             let mut y = c_b;
-            self.etas.btran(&mut y);
+            let priced = self.btran_prices(&mut y);
 
             let use_bland = degenerate_run > BLAND_AFTER;
             let mut entering: Option<(usize, f64, f64)> = None; // (col, score, direction)
@@ -748,8 +866,8 @@ impl<'a> Solver<'a> {
                 if self.is_basic[j] {
                     continue;
                 }
-                let cj = if phase1 { 0.0 } else { self.cost[j] };
-                let d = cj - self.dot_col(j, &y);
+                let cj = if phase1 { 0.0 } else { self.mat.cost[j] };
+                let d = if priced { cj - self.dot_col(j, &y) } else { cj };
                 let lower_finite = self.lb[j].is_finite();
                 let upper_finite = self.ub[j].is_finite();
                 if lower_finite && upper_finite && self.ub[j] - self.lb[j] <= tol {
@@ -913,6 +1031,10 @@ impl<'a> Solver<'a> {
         let mut stall = 0usize;
         let mut best_inf = f64::INFINITY;
         let mut retried_refactor = false;
+        // Pivot row, multipliers and entering column, reused every pivot.
+        let mut rho = vec![0.0f64; self.m];
+        let mut y = vec![0.0f64; self.m];
+        let mut w = vec![0.0f64; self.m];
         loop {
             if self.iterations >= limit {
                 return DualRun::Fallback;
@@ -971,11 +1093,13 @@ impl<'a> Solver<'a> {
 
             // Row r of B⁻¹A via ρ = B⁻ᵀ e_r, and phase-2 multipliers for the
             // dual ratio test.
-            let mut rho = vec![0.0f64; self.m];
+            rho.fill(0.0);
             rho[r] = 1.0;
             self.etas.btran(&mut rho);
-            let mut y: Vec<f64> = self.order.iter().map(|&k| self.cost[k]).collect();
-            self.etas.btran(&mut y);
+            for (yi, &k) in y.iter_mut().zip(&self.order) {
+                *yi = self.mat.cost[k];
+            }
+            let priced = self.btran_prices(&mut y);
 
             // Entering column: eligible sign, minimal dual ratio |d|/|α|;
             // ties prefer the larger pivot (smallest index under Bland).
@@ -1010,7 +1134,8 @@ impl<'a> Solver<'a> {
                 if !helps {
                     continue;
                 }
-                let d = self.cost[j] - self.dot_col(j, &y);
+                let d =
+                    if priced { self.mat.cost[j] - self.dot_col(j, &y) } else { self.mat.cost[j] };
                 let ratio = (d * dxj_sign).max(0.0) / alpha.abs();
                 let better = if q == usize::MAX || ratio < best_ratio - 1e-12 {
                     true
@@ -1035,7 +1160,7 @@ impl<'a> Solver<'a> {
                 return DualRun::Finished(self.finished(LpStatus::Infeasible, true));
             }
 
-            let mut w = vec![0.0f64; self.m];
+            w.fill(0.0);
             self.scatter(q, &mut w);
             self.etas.ftran(&mut w);
             if w[r].abs() <= PIV_EPS {
@@ -1074,9 +1199,9 @@ impl<'a> Solver<'a> {
     }
 }
 
-fn auto_limit(model: &Model, iteration_limit: usize) -> usize {
+fn auto_limit(mat: &LpMatrix, iteration_limit: usize) -> usize {
     if iteration_limit == 0 {
-        400 * (model.constraints.len() + model.vars.len()) + 2000
+        400 * (mat.m + mat.n) + 2000
     } else {
         iteration_limit
     }
@@ -1113,26 +1238,22 @@ pub fn solve_lp(
     tol: f64,
     iteration_limit: usize,
 ) -> Result<LpOutcome, MilpError> {
-    solve_lp_with_deadline(model, bounds_override, tol, iteration_limit, None)
+    solve_in(&LpMatrix::new(model), bounds_override, tol, iteration_limit, None)
 }
 
-/// [`solve_lp`] with a wall-clock deadline, checked every few iterations;
-/// an expired deadline yields [`LpStatus::Interrupted`].
-///
-/// # Errors
-///
-/// Returns [`MilpError::IterationLimit`] like [`solve_lp`].
-pub fn solve_lp_with_deadline(
-    model: &Model,
+/// [`solve_lp`] over a prebuilt matrix, with a wall-clock deadline checked
+/// every few iterations; an expired deadline yields
+/// [`LpStatus::Interrupted`].
+pub(crate) fn solve_in(
+    mat: &LpMatrix,
     bounds_override: Option<&[(f64, f64)]>,
     tol: f64,
     iteration_limit: usize,
     deadline: Option<Instant>,
 ) -> Result<LpOutcome, MilpError> {
-    let limit = auto_limit(model, iteration_limit);
-    let mut s = match Solver::build(model, bounds_override, tol) {
-        Built::Crossed => return Ok(trivially_infeasible(false)),
-        Built::Ready(s) => s,
+    let limit = auto_limit(mat, iteration_limit);
+    let Some(mut s) = Solver::new(mat, bounds_override, tol) else {
+        return Ok(trivially_infeasible(false));
     };
     s.install_slack_basis();
     s.primal(limit, deadline, false)
@@ -1150,11 +1271,21 @@ pub fn solve_lp_with_deadline(
 /// as if the basis had never been supplied — when the basis is stale
 /// (dimensions changed), its refactorization is singular, or the dual loop
 /// stalls or exhausts its budget. `LpOutcome::warm` reports which path ran.
+/// A nonzero `iteration_limit` bounds the warm attempt and the fallback
+/// together; the automatic limit (0) is fresh for the fallback.
+///
+/// Each call builds the model's matrix and factorizes the basis. Branch and
+/// bound instead builds the matrix once per tree, and factorizes each
+/// parent basis once for its strong-branch probes and both children. Both
+/// paths run the same pivots. While every basic column is free of cost (as
+/// in a pure feasibility model), pricing skips the dual prices `y`, which
+/// are then exactly zero; see the module docs for why this is exact.
 ///
 /// # Errors
 ///
 /// Returns [`MilpError::IterationLimit`] like [`solve_lp`] if the cold
-/// fallback itself fails to converge.
+/// fallback itself fails to converge, or if a nonzero `iteration_limit` is
+/// spent before the fallback gets any of it.
 pub fn resolve_lp(
     model: &Model,
     bounds_override: Option<&[(f64, f64)]>,
@@ -1162,52 +1293,60 @@ pub fn resolve_lp(
     tol: f64,
     iteration_limit: usize,
 ) -> Result<LpOutcome, MilpError> {
-    resolve_lp_with_deadline(model, bounds_override, basis, tol, iteration_limit, None)
+    let shared = SharedBasis::new(basis.clone());
+    resolve_in(&LpMatrix::new(model), bounds_override, &shared, tol, iteration_limit, None)
 }
 
-/// [`resolve_lp`] with a wall-clock deadline (see
-/// [`solve_lp_with_deadline`]).
-///
-/// # Errors
-///
-/// Returns [`MilpError::IterationLimit`] like [`resolve_lp`].
-pub fn resolve_lp_with_deadline(
-    model: &Model,
+/// [`resolve_lp`] over a prebuilt matrix from a [`SharedBasis`], whose
+/// factorization slot the install fills or copies; with a wall-clock
+/// deadline like [`solve_in`].
+pub(crate) fn resolve_in(
+    mat: &LpMatrix,
     bounds_override: Option<&[(f64, f64)]>,
-    basis: &Basis,
+    shared: &SharedBasis,
     tol: f64,
     iteration_limit: usize,
     deadline: Option<Instant>,
 ) -> Result<LpOutcome, MilpError> {
-    let limit = auto_limit(model, iteration_limit);
-    let (spent, refacts, resets) = match Solver::build(model, bounds_override, tol) {
-        Built::Crossed => return Ok(trivially_infeasible(true)),
-        Built::Ready(mut s) => {
-            if s.install_basis(basis) {
-                if s.dual_feasible() {
-                    match s.dual(limit, deadline) {
-                        DualRun::Finished(out) => return Ok(out),
-                        DualRun::Fallback => {}
-                    }
-                } else {
-                    // Dual-infeasible parent (stale costs): still a better
-                    // starting vertex than the slack identity.
-                    match s.primal(limit, deadline, true) {
-                        Ok(out) => return Ok(out),
-                        Err(MilpError::IterationLimit { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
+    let limit = auto_limit(mat, iteration_limit);
+    let Some(mut s) = Solver::new(mat, bounds_override, tol) else {
+        return Ok(trivially_infeasible(true));
+    };
+    if s.install_basis(&shared.basis, &shared.factor) {
+        if s.dual_feasible() {
+            match s.dual(limit, deadline) {
+                DualRun::Finished(out) => return Ok(out),
+                DualRun::Fallback => {}
             }
-            (s.iterations, s.refactorizations, s.devex_resets)
+        } else {
+            // Dual-infeasible parent (stale costs): still a better
+            // starting vertex than the slack identity.
+            match s.primal(limit, deadline, true) {
+                Ok(out) => return Ok(out),
+                Err(MilpError::IterationLimit { .. }) => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+    // Cold fallback. A caller's budget covers the warm attempt and the
+    // fallback together; the automatic limit is fresh for the fallback, so
+    // a warm entry never fails where a cold solve would have succeeded.
+    let cold_limit = if iteration_limit == 0 {
+        0
+    } else {
+        match iteration_limit.saturating_sub(s.iterations) {
+            0 => return Err(MilpError::IterationLimit { limit: iteration_limit }),
+            left => left,
         }
     };
-    // Cold fallback with a fresh budget: a warm entry must never fail where
-    // a cold solve would have succeeded.
-    let mut out = solve_lp_with_deadline(model, bounds_override, tol, iteration_limit, deadline)?;
-    out.iterations += spent;
-    out.refactorizations += refacts;
-    out.devex_resets += resets;
+    let mut out =
+        solve_in(mat, bounds_override, tol, cold_limit, deadline).map_err(|e| match e {
+            MilpError::IterationLimit { .. } => MilpError::IterationLimit { limit },
+            e => e,
+        })?;
+    out.iterations += s.iterations;
+    out.refactorizations += s.refactorizations;
+    out.devex_resets += s.devex_resets;
     out.warm = false;
     Ok(out)
 }
@@ -1239,26 +1378,22 @@ pub(crate) struct TableauSnapshot {
 }
 
 /// Extracts the tableau rows of fractional integer basics at `basis`
-/// (re-installed and refactorized), most fractional first, up to
+/// (re-installed and factorized over `mat`), most fractional first, up to
 /// `max_rows`. Returns `None` when the basis fails to install (stale,
 /// singular, or vetoed by the `milp.warm_basis` failpoint) — callers skip
 /// cut separation for that round.
 pub(crate) fn fractional_rows(
-    model: &Model,
+    mat: &LpMatrix,
     bounds_override: Option<&[(f64, f64)]>,
     basis: &Basis,
     tol: f64,
     is_int: &[bool],
     max_rows: usize,
 ) -> Option<TableauSnapshot> {
-    let mut s = match Solver::build(model, bounds_override, tol) {
-        Built::Crossed => return None,
-        Built::Ready(s) => s,
-    };
-    if !s.install_basis(basis) {
+    let mut s = Solver::new(mat, bounds_override, tol)?;
+    if !s.install_basis(basis, &OnceCell::new()) {
         return None;
     }
-    s.compute_basic_values();
     let mut cand: Vec<(f64, usize, usize)> = Vec::new(); // (centrality, col, row)
     for (i, &k) in s.order.iter().enumerate() {
         if k >= s.n || !is_int[k] {
@@ -1292,13 +1427,7 @@ pub(crate) fn fractional_rows(
         }
         rows.push(TableauRow { rhs: s.x[k], coeffs });
     }
-    Some(TableauSnapshot {
-        n: s.n,
-        lb: s.lb.clone(),
-        ub: s.ub.clone(),
-        at_upper: s.at_upper.clone(),
-        rows,
-    })
+    Some(TableauSnapshot { n: s.n, lb: s.lb, ub: s.ub, at_upper: s.at_upper, rows })
 }
 
 #[cfg(test)]
@@ -1504,7 +1633,7 @@ mod tests {
         m.add_constraint(Constraint::new(LinExpr::new() + (1.0, x) + (1.0, y), Rel::Le, 4.0));
         m.maximize(LinExpr::new() + (1.0, x) + (2.0, y));
         let past = std::time::Instant::now() - std::time::Duration::from_secs(1);
-        let out = crate::simplex::solve_lp_with_deadline(&m, None, TOL, 0, Some(past)).unwrap();
+        let out = solve_in(&LpMatrix::new(&m), None, TOL, 0, Some(past)).unwrap();
         assert_eq!(out.status, LpStatus::Interrupted);
         assert!(out.values.is_empty());
     }
@@ -1738,5 +1867,188 @@ mod tests {
         assert!((out.objective - expect).abs() < 1e-5, "objective {}", out.objective);
         assert!(out.iterations > REFACTOR_INTERVAL, "iterations {}", out.iterations);
         assert!(out.refactorizations > 0, "expected at least one refactorization");
+    }
+
+    /// A deterministic xorshift64 stream, as in `tests/proptest_brute_force.rs`.
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// A random bounded LP: 3–8 variables in `[0, 2..=6]` and 2–6 mixed
+    /// rows that a random fractional point satisfies, with a random
+    /// objective only if `costed`.
+    fn random_bounded_lp(case: u64, costed: bool) -> Model {
+        let mut next = stream(0x9e37_79b9_7f4a_7c15 ^ case.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        let n = (next() % 6 + 3) as usize;
+        let rows = (next() % 5 + 2) as usize;
+        let mut m = Model::new();
+        let uppers: Vec<f64> = (0..n).map(|_| (next() % 5 + 2) as f64).collect();
+        let vars: Vec<_> =
+            uppers.iter().map(|&u| m.add_var(Variable::continuous(0.0, u))).collect();
+        let point: Vec<f64> = uppers.iter().map(|&u| u * (next() % 97 + 1) as f64 / 98.0).collect();
+        for _ in 0..rows {
+            let coeffs: Vec<f64> = (0..n).map(|_| (next() % 11) as f64 - 5.0).collect();
+            let lhs: f64 = coeffs.iter().zip(&point).map(|(c, x)| c * x).sum();
+            let slack = (next() % 4) as f64 + 0.25;
+            let (rel, rhs) = match next() % 3 {
+                0 => (Rel::Le, lhs + slack),
+                1 => (Rel::Ge, lhs - slack),
+                _ => (Rel::Eq, lhs),
+            };
+            let expr: LinExpr = vars.iter().zip(&coeffs).map(|(&v, &c)| (c, v)).collect();
+            m.add_constraint(Constraint::new(expr, rel, rhs));
+        }
+        if costed {
+            let obj: LinExpr = vars.iter().map(|&v| ((next() % 11) as f64 - 5.0, v)).collect();
+            if next().is_multiple_of(2) {
+                m.maximize(obj);
+            } else {
+                m.minimize(obj);
+            }
+        }
+        m
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn shared_matrix_and_factorization_match_fresh_resolves() {
+        // Branch and bound's access pattern: every child of the root
+        // re-solves over one matrix from one shared basis. Each outcome must
+        // equal a fresh `resolve_lp` of the same child bit for bit, and only
+        // the first install may factorize.
+        let (mut children, mut copied, mut priced) = (0usize, 0usize, 0usize);
+        for case in 0..80u64 {
+            for costed in [false, true] {
+                let m = random_bounded_lp(case, costed);
+                let root = lp(&m);
+                let Some(basis) = root.basis.clone() else { continue };
+                let mat = LpMatrix::new(&m);
+                let shared = SharedBasis::new(basis.clone());
+                let bounds: Vec<(f64, f64)> = m.vars.iter().map(effective_bounds).collect();
+                let before = children;
+                for (j, &v) in root.values.iter().enumerate() {
+                    if (v - v.round()).abs() <= 1e-6 {
+                        continue;
+                    }
+                    for up in [false, true] {
+                        let mut child = bounds.clone();
+                        if up {
+                            child[j].0 = v.floor() + 1.0;
+                        } else {
+                            child[j].1 = v.floor();
+                        }
+                        let factored = shared.factor.get().is_some();
+                        let got = resolve_in(&mat, Some(&child), &shared, TOL, 0, None).unwrap();
+                        let fresh = resolve_lp(&m, Some(&child), &basis, TOL, 0).unwrap();
+                        let at = format!("case {case} costed {costed} var {j} up {up}");
+                        assert_eq!(got.status, fresh.status, "{at}");
+                        assert_eq!(bits(&got.values), bits(&fresh.values), "{at}");
+                        assert_eq!(got.objective.to_bits(), fresh.objective.to_bits(), "{at}");
+                        assert_eq!(got.iterations, fresh.iterations, "{at}");
+                        assert_eq!(got.basis, fresh.basis, "{at}");
+                        assert_eq!(got.warm, fresh.warm, "{at}");
+                        assert_eq!(got.devex_resets, fresh.devex_resets, "{at}");
+                        // A copied factorization is the install's only saving.
+                        let saved = usize::from(factored);
+                        assert_eq!(got.refactorizations + saved, fresh.refactorizations, "{at}");
+                        children += 1;
+                        copied += saved;
+                        priced += usize::from(costed && got.iterations > 0);
+                    }
+                }
+                if children > before {
+                    assert!(shared.factor.get().is_some(), "case {case}: slot never filled");
+                }
+            }
+        }
+        assert!(children >= 200, "only {children} children exercised");
+        assert!(copied >= children / 2, "only {copied} of {children} installs copied");
+        assert!(priced >= 50, "only {priced} costed children pivoted");
+    }
+
+    #[test]
+    fn singular_basis_is_never_stored() {
+        // x and y have identical columns, so a basis holding both is
+        // singular: every install fails, the slot stays empty, and the
+        // outcome is exactly the cold solve's.
+        let mut m = Model::new();
+        let x = m.add_var(Variable::continuous(0.0, 5.0));
+        let y = m.add_var(Variable::continuous(0.0, 5.0));
+        let z = m.add_var(Variable::continuous(0.0, 5.0));
+        m.add_constraint(Constraint::new(
+            LinExpr::new() + (1.0, x) + (1.0, y) + (1.0, z),
+            Rel::Le,
+            4.0,
+        ));
+        m.add_constraint(Constraint::new(
+            LinExpr::new() + (1.0, x) + (1.0, y) + (-1.0, z),
+            Rel::Ge,
+            1.0,
+        ));
+        m.maximize(LinExpr::new() + (1.0, x) + (2.0, y) + (1.0, z));
+        let singular = Basis {
+            statuses: vec![
+                VarStatus::Basic,
+                VarStatus::Basic,
+                VarStatus::AtLower,
+                VarStatus::AtLower,
+                VarStatus::AtUpper,
+            ],
+            order: vec![0, 1],
+        };
+        let mat = LpMatrix::new(&m);
+        let shared = SharedBasis::new(singular);
+        let cold = solve_lp(&m, None, TOL, 0).unwrap();
+        assert_eq!(cold.status, LpStatus::Optimal);
+        for attempt in 0..2 {
+            let got = resolve_in(&mat, None, &shared, TOL, 0, None).unwrap();
+            assert!(
+                shared.factor.get().is_none(),
+                "attempt {attempt}: a failed install was stored"
+            );
+            assert!(!got.warm, "attempt {attempt}");
+            assert_eq!(bits(&got.values), bits(&cold.values), "attempt {attempt}");
+            assert_eq!(got, cold, "attempt {attempt}");
+        }
+    }
+
+    #[test]
+    fn budgeted_fallback_shares_the_budget() {
+        // Root: max Σx with every x_i basic at its row bound 5. Fixing the
+        // x_i at 0 costs the dual one pivot per row but a cold solve a
+        // single iteration. Under a budget smaller than the row count, the
+        // warm attempt spends it all, so the fallback gets nothing.
+        let k = 10;
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..k).map(|_| m.add_var(Variable::continuous(0.0, 10.0))).collect();
+        for &v in &vars {
+            m.add_constraint(Constraint::new(LinExpr::new() + (1.0, v), Rel::Le, 5.0));
+        }
+        m.maximize(vars.iter().map(|&v| (1.0, v)).collect());
+        let root = lp(&m);
+        let basis = root.basis.clone().unwrap();
+        let fixed = vec![(0.0, 0.0); k];
+        let cold = solve_lp(&m, Some(&fixed), TOL, 0).unwrap();
+        let warm = resolve_lp(&m, Some(&fixed), &basis, TOL, 0).unwrap();
+        assert!(warm.warm);
+        assert_eq!(warm.iterations, k);
+        assert_eq!(cold.iterations, 1);
+        let limit = k / 2;
+        match resolve_lp(&m, Some(&fixed), &basis, TOL, limit) {
+            Err(MilpError::IterationLimit { limit: reported }) => assert_eq!(reported, limit),
+            other => panic!("a spent budget must stop the fallback, got {other:?}"),
+        }
+        // A budget the warm attempt leaves room in still reaches the optimum.
+        let roomy = resolve_lp(&m, Some(&fixed), &basis, TOL, k + 1).unwrap();
+        assert_eq!(roomy, warm);
     }
 }

@@ -185,7 +185,9 @@ pub struct SolveStats {
     /// Node LPs solved cold (slack-identity start), including warm attempts
     /// that fell back.
     pub cold_starts: usize,
-    /// Basis refactorizations across all LP solves.
+    /// Basis factorizations computed across all LP solves. A parent basis
+    /// is factorized once for all the LPs warm-started from it; the copies
+    /// count as none.
     pub refactorizations: usize,
     /// Estimated pivots avoided by warm starts: for every warm node LP, the
     /// most expensive LP solved earlier in the same tree (a lower bound on
