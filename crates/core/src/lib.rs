@@ -44,7 +44,6 @@ pub mod checkpoint;
 mod error;
 pub mod model;
 pub mod optimal;
-pub mod preprocess;
 mod search;
 mod solution;
 pub mod structured;

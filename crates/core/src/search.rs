@@ -1469,7 +1469,8 @@ impl<'g> TemporalPartitioner<'g> {
         // Smallest bound proven dominated; the merge can never get past it,
         // so larger bounds need not run at all.
         let stop_at = AtomicU32::new(u32::MAX);
-        // The pool's FIFO injector hands indices out in ascending-N order.
+        // The pool hands a top-level batch out lowest index first, so
+        // candidates are claimed in ascending-N order.
         let report = pool.run(candidates.len(), CANDIDATE_FAIL_KEY, |idx| {
             let n = candidates[idx];
             // Budget expired or bound out of reach: the slot stays empty,

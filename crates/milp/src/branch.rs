@@ -554,9 +554,11 @@ fn branch_and_bound(
                         Ok(sb) => sb,
                         // The tight per-probe pivot cap is an intended
                         // truncation: running out of iterations makes the
-                        // probe uninformative, not the solve a failure.
-                        Err(MilpError::IterationLimit { .. }) => {
+                        // probe uninformative, not the solve a failure. Its
+                        // pivots still count against the budget.
+                        Err(MilpError::IterationLimit { limit }) => {
                             stats.lp_time += sb_start.elapsed();
+                            stats.simplex_iterations += limit;
                             continue;
                         }
                         Err(e) => return Err(e),

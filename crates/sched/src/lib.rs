@@ -1,4 +1,4 @@
-//! One work-stealing pool for every parallel unit in the solver stack.
+//! One scheduler for every parallel unit in the solver stack.
 //!
 //! Both parallel layers of the exploration — phase-2 candidate `N`s and
 //! depth-`k` subtree prefix jobs inside a window solve — used to carry
@@ -10,23 +10,26 @@
 //! * **One global thread budget.** [`Pool::scoped`] spawns `threads - 1`
 //!   scoped workers; the calling thread participates as the last worker,
 //!   so exactly `threads` threads compute.
-//! * **A shared FIFO injector + per-participant Chase–Lev deques.**
-//!   Top-level batches go into the injector, so participants claim their
-//!   indices in ascending order — the same claim discipline (and pruning
-//!   heuristic: small candidate `N`s first) the bespoke pools had.
-//!   Batches submitted from *inside* a job are pushed (in reverse) onto
-//!   the submitter's own deque: its LIFO pops come back ascending and
-//!   stay local, while idle participants steal the oldest (highest)
-//!   indices from the top. Deque overflow spills into the injector.
+//! * **One lock, two cursors per batch.** Each batch with unclaimed jobs
+//!   is an entry `lo..hi` in one mutex-protected list, oldest first. A
+//!   participant claims (1) the lowest index of its own newest nested
+//!   batch, else (2) the lowest index of the oldest top-level batch, else
+//!   (3) the highest index of the oldest nested batch of the next
+//!   participant round the ring that has one. So top-level batches go out
+//!   in ascending order (small candidate `N`s first, as the bespoke pools
+//!   claimed them), a nested batch's submitter works up from its lowest
+//!   index, and helpers take the highest. That order decides which
+//!   subtrees a budget-limited window's node budget covers, so it is part
+//!   of the contract.
 //! * **Dynamic nesting.** [`Pool::with`] reuses the ambient pool when the
 //!   caller is already a participant, so a window solve submitted from
 //!   inside a candidate job shares the same budget — and a stalled
-//!   window's jobs get stolen by whoever is idle, instead of waiting on a
+//!   window's jobs get taken by whoever is idle, instead of waiting on a
 //!   private sub-pool.
 //! * **Determinism by merge discipline, not by schedule.** The pool makes
-//!   no ordering promises; callers own a result slot per job index and
-//!   merge in ascending index order, which is what keeps results
-//!   bit-identical to the sequential path at any thread count.
+//!   no ordering promises to results; callers own a result slot per job
+//!   index and merge in ascending index order, which is what keeps
+//!   results bit-identical to the sequential path at any thread count.
 //! * **Panic isolation with bounded retries.** Each job runs under
 //!   `catch_unwind` behind the `sched.job` failpoint; a job is retried up
 //!   to [`SCHED_RETRY_LIMIT`] times and then reported lost in the
@@ -39,31 +42,22 @@
 //! therefore gauges; job/batch totals are deterministic at a fixed thread
 //! count and therefore counters.
 
-mod deque;
+#![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+// Library code recovers from every fallible situation; `unwrap`/`expect`
+// are confined to tests.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use deque::{Deque, Steal, Word};
 use rtr_trace::status::board;
 
 /// A job that panics on every attempt is abandoned after this many
 /// retries (matching the per-layer `PANIC_RETRY_LIMIT` it replaces).
 pub const SCHED_RETRY_LIMIT: u32 = 2;
-
-/// Per-participant bounded deque capacity; overflow spills to the
-/// injector. Power of two, comfortably above the largest batch a single
-/// submitter produces (`MAX_JOBS = 4096` subtree jobs plus nesting slack).
-const DEQUE_CAPACITY: usize = 8192;
-
-/// How long an idle participant parks before re-scanning for work. A
-/// timed wait (rather than precise wakeup bookkeeping) makes lost-wakeup
-/// livelocks impossible, which matters on oversubscribed 1-CPU runners.
-const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 
 thread_local! {
     /// `(pool, participant ordinal)` while this thread participates in a
@@ -112,15 +106,15 @@ pub struct SchedStats {
     pub nested_batches: u64,
     /// Jobs abandoned after retry exhaustion.
     pub lost_jobs: u64,
-    /// Jobs a participant popped from its own deque.
+    /// Jobs a participant claimed from its own newest nested batch.
     pub local_pops: u64,
-    /// Jobs claimed from another participant's deque.
+    /// Jobs claimed from the top of another participant's nested batch.
     pub steals: u64,
-    /// Jobs drained from the overflow injector.
+    /// Jobs claimed from a top-level batch.
     pub injector_pops: u64,
-    /// Timed parks while idle.
+    /// Waits while idle.
     pub idle_parks: u64,
-    /// Maximum observed single-deque depth.
+    /// High-water mark of unclaimed jobs across all open batches.
     pub max_queue_depth: u64,
 }
 
@@ -145,58 +139,70 @@ struct Account {
 }
 
 /// Type-erased shared state of one in-flight batch. Lives on the
-/// submitter's stack for the duration of [`Pool::run`]; job words in the
-/// deques point at it. Soundness is structural: `run` does not return
+/// submitter's stack for the duration of [`Pool::run`]; the pool's open
+/// list points at it. Soundness is structural: `run` does not return
 /// until `remaining` hits zero, and a finishing participant never touches
-/// the batch after its decrement (see `execute`).
+/// the batch after its decrement (see `Pool::participate`).
 struct BatchShared {
     /// Invokes the caller's closure for one index.
     call: unsafe fn(*const (), usize),
     /// The caller's closure, erased.
     data: *const (),
-    /// Jobs not yet finished (completed or abandoned).
+    /// Jobs not yet finished (completed or abandoned). Read and written
+    /// only with the pool's lock held: the lock orders every access, and
+    /// its release/acquire publishes each job's writes to the submitter.
     remaining: AtomicUsize,
     /// Caller-chosen `sched.job` failpoint namespace.
     fail_key: u64,
     account: Mutex<Account>,
 }
 
+/// Calls the closure erased into `data` for one index.
+///
+/// # Safety
+///
+/// `data` must have been erased from an `&F` that is still alive.
 unsafe fn call_closure<F: Fn(usize) + Sync>(data: *const (), index: usize) {
-    // SAFETY: `data` was erased from an `&F` that outlives the batch
-    // (it borrows from the `Pool::run` frame, which blocks until every
-    // job has finished).
+    // SAFETY: the caller guarantees `data` is a live `&F`; it borrows from
+    // the `Pool::run` frame, which blocks until every job has finished.
     let f = unsafe { &*data.cast::<F>() };
     f(index);
 }
 
-fn pack(batch: *const BatchShared, index: usize) -> Word {
-    (batch as u64, index as u64)
+/// One batch with unclaimed jobs: indices `lo..hi` are still to be
+/// claimed, and the entry leaves the open list when the range empties.
+struct Open {
+    batch: *const BatchShared,
+    lo: usize,
+    hi: usize,
+    /// Ordinal of the participant that submitted the batch.
+    owner: usize,
+    /// Submitted from inside a job.
+    nested: bool,
 }
 
-/// The work-stealing pool. Create one with [`Pool::scoped`] (or
-/// [`Pool::with`], which reuses the ambient pool when nested) and submit
-/// indexed batches with [`Pool::run`].
+// SAFETY: apart from `batch`, `Open` is plain data. Other threads only
+// share the `BatchShared` behind `batch`, whose fields are all `Sync`
+// (atomics, a mutex, a fn pointer, and `data`, an erased `&F` with
+// `F: Sync`). It outlives the entry, which leaves the list when its last
+// job is claimed, before that job can finish and let `Pool::run` return.
+unsafe impl Send for Open {}
+
+/// The scheduler. Create one with [`Pool::scoped`] (or [`Pool::with`],
+/// which reuses the ambient pool when nested) and submit indexed batches
+/// with [`Pool::run`].
 pub struct Pool {
-    deques: Vec<Deque>,
-    injector: Mutex<VecDeque<Word>>,
-    park_lock: Mutex<()>,
-    park_cv: Condvar,
+    threads: usize,
+    /// Every batch with unclaimed jobs, oldest first.
+    open: Mutex<Vec<Open>>,
+    /// Notified with `open` locked when a batch opens, when a batch's last
+    /// job finishes, and at shutdown (which is also set under the lock).
+    wake: Condvar,
     shutdown: AtomicBool,
     counters: Counters,
 }
 
 impl Pool {
-    fn new(threads: usize) -> Self {
-        Pool {
-            deques: (0..threads).map(|_| Deque::new(DEQUE_CAPACITY)).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            park_lock: Mutex::new(()),
-            park_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
-        }
-    }
-
     /// Run `f` with a pool of exactly `threads` participants
     /// (`threads - 1` spawned workers plus the calling thread). Workers
     /// are joined — and `sched.*` telemetry emitted — before this
@@ -205,7 +211,13 @@ impl Pool {
     /// index order.
     pub fn scoped<R>(threads: usize, f: impl FnOnce(&Pool) -> R) -> R {
         let threads = threads.max(1);
-        let pool = Pool::new(threads);
+        let pool = Pool {
+            threads,
+            open: Mutex::new(Vec::new()),
+            wake: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            counters: Counters::default(),
+        };
         let out = std::thread::scope(|scope| {
             for ordinal in 0..threads - 1 {
                 let pool = &pool;
@@ -214,8 +226,9 @@ impl Pool {
             let owner = CurrentGuard::set(&pool, threads - 1);
             let out = f(&pool);
             drop(owner);
-            pool.shutdown.store(true, Ordering::Release);
-            pool.park_cv.notify_all();
+            let _open = pool.lock();
+            pool.shutdown.store(true, Ordering::Relaxed);
+            pool.wake.notify_all();
             out
         });
         pool.emit_telemetry();
@@ -239,7 +252,7 @@ impl Pool {
 
     /// Number of participants (spawned workers + owner).
     pub fn threads(&self) -> usize {
-        self.deques.len()
+        self.threads
     }
 
     /// This thread's participant ordinal in `self`, if it is one.
@@ -297,53 +310,26 @@ impl Pool {
 
         match self.participant_ordinal() {
             Some(me) => {
-                let depth = if nested {
-                    // Reverse push onto the submitter's deque: its LIFO
-                    // pops see ascending indices and stay local; thieves
-                    // take the oldest (highest) index from the top.
-                    for index in (0..count).rev() {
-                        let word = pack(&raw const batch, index);
-                        if self.deques[me].push(word).is_err() {
-                            self.injector
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .push_back(word);
-                        }
-                    }
-                    self.deques[me].len_estimate() as u64
-                } else {
-                    // Top-level batch: the FIFO injector hands indices to
-                    // every participant in ascending order, preserving
-                    // the bespoke pools' claim discipline.
-                    let mut queue =
-                        self.injector.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    for index in 0..count {
-                        queue.push_back(pack(&raw const batch, index));
-                    }
-                    queue.len() as u64
-                };
+                let mut open = self.lock();
+                open.push(Open { batch: &raw const batch, lo: 0, hi: count, owner: me, nested });
+                let depth = open.iter().map(|o| (o.hi - o.lo) as u64).sum();
                 self.counters.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
                 board().max_sched_queue_depth(depth);
-                self.park_cv.notify_all();
-                while batch.remaining.load(Ordering::Acquire) != 0 {
-                    match self.find_job(me) {
-                        Some(job) => self.execute(job),
-                        None => self.park(),
-                    }
-                }
+                self.wake.notify_all();
+                drop(open);
+                self.participate(me, || batch.remaining.load(Ordering::Relaxed) == 0);
             }
             None => {
                 // Not a participant of this pool (defensive fallback):
                 // run the batch inline, sequentially, with identical
                 // isolation semantics.
                 for index in 0..count {
-                    self.execute(pack(&raw const batch, index));
+                    self.execute(&batch, index);
                 }
             }
         }
 
-        let mut account =
-            batch.account.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut account = batch.account.into_inner().unwrap_or_else(PoisonError::into_inner);
         // Completion order is scheduling-dependent; the report is not.
         account.lost.sort_unstable();
         BatchReport {
@@ -353,43 +339,76 @@ impl Pool {
         }
     }
 
-    fn find_job(&self, me: usize) -> Option<Word> {
-        if let Some(word) = self.deques[me].pop() {
-            self.counters.local_pops.fetch_add(1, Ordering::Relaxed);
-            board().add_sched_local_pops(1);
-            return Some(word);
-        }
-        if let Some(word) =
-            self.injector.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop_front()
-        {
-            self.counters.injector_pops.fetch_add(1, Ordering::Relaxed);
-            return Some(word);
-        }
-        let n = self.deques.len();
-        for offset in 1..n {
-            let victim = (me + offset) % n;
-            loop {
-                match self.deques[victim].steal() {
-                    Steal::Success(word) => {
-                        self.counters.steals.fetch_add(1, Ordering::Relaxed);
-                        board().add_sched_steals(1);
-                        return Some(word);
-                    }
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
+    /// Locks the open list. No panic can unwind while it is held (jobs run
+    /// unlocked, and each update under it leaves the list valid), so a
+    /// poisoned lock is recovered.
+    fn lock(&self) -> MutexGuard<'_, Vec<Open>> {
+        self.open.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims and runs jobs as participant `me` until `done` holds,
+    /// waiting while nothing is claimable. `done` and every claim are
+    /// checked with the lock held, and every change to them notifies
+    /// `wake` under the same lock, so the untimed wait cannot miss one.
+    fn participate(&self, me: usize, done: impl Fn() -> bool) {
+        let mut open = self.lock();
+        while !done() {
+            let Some((batch, index)) = self.claim(&mut open, me) else {
+                self.counters.idle_parks.fetch_add(1, Ordering::Relaxed);
+                board().add_sched_idle_parks(1);
+                open = self.wake.wait(open).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            drop(open);
+            // SAFETY: the claimed job is unfinished, so its batch's
+            // `Pool::run` frame is still blocked, and it stays blocked until
+            // the `remaining` decrement below.
+            let batch = unsafe { &*batch };
+            self.execute(batch, index);
+            open = self.lock();
+            // Last touch of `batch`: once `remaining` reaches zero its
+            // submitter may return and pop the frame.
+            if batch.remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
+                self.wake.notify_all();
             }
         }
-        None
+    }
+
+    /// Claims participant `me`'s next job by the pool's three rules (see
+    /// the crate doc), and drops the batch's entry once its range empties.
+    fn claim(&self, open: &mut Vec<Open>, me: usize) -> Option<(*const BatchShared, usize)> {
+        let n = self.threads;
+        let (at, top) = if let Some(at) = open.iter().rposition(|o| o.nested && o.owner == me) {
+            self.counters.local_pops.fetch_add(1, Ordering::Relaxed);
+            board().add_sched_local_pops(1);
+            (at, false)
+        } else if let Some(at) = open.iter().position(|o| !o.nested) {
+            self.counters.injector_pops.fetch_add(1, Ordering::Relaxed);
+            (at, false)
+        } else {
+            let at = (1..n)
+                .find_map(|k| open.iter().position(|o| o.nested && o.owner == (me + k) % n))?;
+            self.counters.steals.fetch_add(1, Ordering::Relaxed);
+            board().add_sched_steals(1);
+            (at, true)
+        };
+        let entry = &mut open[at];
+        let index = if top {
+            entry.hi -= 1;
+            entry.hi
+        } else {
+            entry.lo += 1;
+            entry.lo - 1
+        };
+        let batch = entry.batch;
+        if entry.lo == entry.hi {
+            open.remove(at);
+        }
+        Some((batch, index))
     }
 
     /// Run one job to completion (or abandonment) with panic isolation.
-    fn execute(&self, word: Word) {
-        // SAFETY: job words only exist in the deques/injector while their
-        // `BatchShared` frame is alive inside `Pool::run`, which cannot
-        // return before this job decrements `remaining`.
-        let batch = unsafe { &*(word.0 as *const BatchShared) };
-        let index = word.1 as usize;
+    fn execute(&self, batch: &BatchShared, index: usize) {
         let depth = EXEC_DEPTH.with(Cell::get);
         EXEC_DEPTH.with(|d| d.set(depth + 1));
         let mut attempt: u32 = 0;
@@ -399,14 +418,14 @@ impl Pool {
                     "sched.job",
                     batch.fail_key ^ (((index as u64) << 8) | u64::from(attempt)),
                 );
-                // SAFETY: see `call_closure`.
+                // SAFETY: `data` is the erased closure `call` was
+                // monomorphized for, alive until the batch finishes.
                 unsafe { (batch.call)(batch.data, index) };
             }));
             match outcome {
                 Ok(()) => break,
                 Err(_) => {
-                    let mut account =
-                        batch.account.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let mut account = batch.account.lock().unwrap_or_else(PoisonError::into_inner);
                     account.panics_caught += 1;
                     if attempt >= SCHED_RETRY_LIMIT {
                         account.lost.push(index);
@@ -423,34 +442,12 @@ impl Pool {
         EXEC_DEPTH.with(|d| d.set(depth));
         self.counters.jobs.fetch_add(1, Ordering::Relaxed);
         board().add_sched_jobs(1);
-        // Last touch of `batch`: after this decrement the submitter may
-        // return and pop the frame.
-        if batch.remaining.fetch_sub(1, Ordering::Release) == 1 {
-            self.park_cv.notify_all();
-        }
-    }
-
-    fn park(&self) {
-        self.counters.idle_parks.fetch_add(1, Ordering::Relaxed);
-        board().add_sched_idle_parks(1);
-        let guard = self.park_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Timed wait: spurious wakeups and missed notifies both resolve
-        // to a rescan, so no wakeup bookkeeping can livelock.
-        let _ = self.park_cv.wait_timeout(guard, PARK_TIMEOUT);
     }
 
     fn worker_loop(&self, ordinal: usize) {
         let _current = CurrentGuard::set(self, ordinal);
         board().worker_started();
-        loop {
-            if let Some(word) = self.find_job(ordinal) {
-                self.execute(word);
-            } else if self.shutdown.load(Ordering::Acquire) {
-                break;
-            } else {
-                self.park();
-            }
-        }
+        self.participate(ordinal, || self.shutdown.load(Ordering::Relaxed));
         board().worker_stopped();
     }
 

@@ -1,151 +1,10 @@
-//! Scheduler unit/property tests: deque linearizability under seeded
-//! interleavings, an exhaustive sequential mini-model, and the pool-level
-//! merge-discipline and isolation properties the solver layers rely on.
+//! Scheduler unit/property tests: the claim order, and the pool-level
+//! merge-discipline, isolation and wake-up properties the solver layers
+//! rely on.
 
-use super::deque::{Deque, Steal};
 use super::{BatchReport, Pool, SCHED_RETRY_LIMIT};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// SplitMix64: the same tiny deterministic generator the failpoint
-/// registry and the determinism suites use for seeded schedules.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-/// Exhaustive sequential model check: every push/pop string up to length
-/// 12 against a reference `VecDeque`, including wrap-around on a deque
-/// whose capacity (4) is smaller than the op count. With no concurrency
-/// the deque must be *exactly* a bounded LIFO stack.
-#[test]
-fn deque_matches_reference_stack_exhaustively() {
-    const OPS: u32 = 12;
-    for word in 0u32..(1 << OPS) {
-        let deque = Deque::new(4);
-        let mut model: VecDeque<u64> = VecDeque::new();
-        let mut next_value = 1u64;
-        for bit in 0..OPS {
-            if (word >> bit) & 1 == 0 {
-                // Push; the model refuses beyond capacity like the deque.
-                let pushed = deque.push((next_value, next_value)).is_ok();
-                assert_eq!(pushed, model.len() < 4, "op string {word:#b} bit {bit}");
-                if pushed {
-                    model.push_back(next_value);
-                    next_value += 1;
-                }
-            } else {
-                let got = deque.pop().map(|(a, b)| {
-                    assert_eq!(a, b, "torn pair in sequential use");
-                    a
-                });
-                assert_eq!(got, model.pop_back(), "op string {word:#b} bit {bit}");
-            }
-        }
-        assert_eq!(deque.len_estimate(), model.len());
-    }
-}
-
-/// Owner-side steal interleaved with pops, still sequential: stealing
-/// takes the *oldest* element, popping the newest, and they never
-/// duplicate or drop one.
-#[test]
-fn deque_steal_takes_oldest_pop_takes_newest() {
-    let deque = Deque::new(8);
-    for v in 1..=5u64 {
-        assert!(deque.push((v, v)).is_ok());
-    }
-    assert!(matches!(deque.steal(), Steal::Success((1, 1))));
-    assert_eq!(deque.pop(), Some((5, 5)));
-    assert!(matches!(deque.steal(), Steal::Success((2, 2))));
-    assert_eq!(deque.pop(), Some((4, 4)));
-    assert_eq!(deque.pop(), Some((3, 3)));
-    assert_eq!(deque.pop(), None);
-    assert!(matches!(deque.steal(), Steal::Empty));
-}
-
-/// Concurrent linearizability under seeded SplitMix64 interleavings: one
-/// owner pushes a known value set while popping at seeded intervals;
-/// thief threads steal with seeded backoff. Every pushed value must be
-/// consumed exactly once (no loss, no duplication, no torn pairs), across
-/// many seeds so the realized interleavings vary.
-#[test]
-fn deque_linearizable_under_seeded_interleavings() {
-    const VALUES: u64 = 2_000;
-    const THIEVES: usize = 3;
-    for seed in 1..=8u64 {
-        let deque = Deque::new(64);
-        let consumed: Vec<AtomicU64> = (0..VALUES).map(|_| AtomicU64::new(0)).collect();
-        let done = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for thief in 0..THIEVES {
-                let deque = &deque;
-                let consumed = &consumed;
-                let done = &done;
-                let mut rng = SplitMix64(seed ^ ((thief as u64 + 1) << 32));
-                scope.spawn(move || loop {
-                    match deque.steal() {
-                        Steal::Success((a, b)) => {
-                            assert_eq!(a, b, "torn steal (seed {seed})");
-                            consumed[a as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                        Steal::Retry => {}
-                        Steal::Empty => {
-                            if done.load(Ordering::Acquire) == 1 {
-                                // One final sweep after the owner finished.
-                                while let Steal::Success((a, b)) = deque.steal() {
-                                    assert_eq!(a, b);
-                                    consumed[a as usize].fetch_add(1, Ordering::Relaxed);
-                                }
-                                break;
-                            }
-                            if rng.next().is_multiple_of(7) {
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                });
-            }
-            // Owner: seeded mix of pushes and pops.
-            let mut rng = SplitMix64(seed);
-            let mut next = 0u64;
-            while next < VALUES {
-                if deque.push((next, next)).is_ok() {
-                    next += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-                if rng.next().is_multiple_of(3) {
-                    if let Some((a, b)) = deque.pop() {
-                        assert_eq!(a, b, "torn pop (seed {seed})");
-                        consumed[a as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            // Drain what the thieves do not get to first.
-            while let Some((a, b)) = deque.pop() {
-                assert_eq!(a, b);
-                consumed[a as usize].fetch_add(1, Ordering::Relaxed);
-            }
-            done.store(1, Ordering::Release);
-        });
-        for (value, count) in consumed.iter().enumerate() {
-            assert_eq!(
-                count.load(Ordering::Relaxed),
-                1,
-                "value {value} consumed wrong number of times (seed {seed})"
-            );
-        }
-    }
-}
 
 /// Merge-discipline ordering property: whatever order the pool executes a
 /// batch in, per-index result slots merged in ascending index order give
@@ -171,10 +30,58 @@ fn ascending_merge_is_schedule_independent() {
         let order = order.into_inner().unwrap();
         assert_eq!(order.len(), JOBS, "every job ran exactly once at {threads} threads");
         if threads == 1 {
-            // Single participant: reverse-push + LIFO pop is ascending.
+            // Single participant: a top-level batch goes out lowest first.
             assert_eq!(order, (0..JOBS).collect::<Vec<_>>());
         }
     }
+}
+
+/// Claim order with one participant: a nested batch opened by a job runs
+/// to the end before the top-level batch goes on, and both run from their
+/// lowest index up.
+#[test]
+fn single_participant_drains_nested_batch_first() {
+    let order = Mutex::new(Vec::new());
+    Pool::scoped(1, |pool| {
+        pool.run(3, 0, |t| {
+            order.lock().unwrap().push(format!("T{t}"));
+            if t == 0 {
+                pool.run(3, 1, |n| order.lock().unwrap().push(format!("N{n}")));
+            }
+        });
+    });
+    assert_eq!(order.into_inner().unwrap(), ["T0", "N0", "N1", "N2", "T1", "T2"]);
+}
+
+/// Claim order with two participants: the submitter's nested job 0 cannot
+/// finish until another nested job has, so the other participant must
+/// help. The submitter works up from index 0; the helper's first claim is
+/// the highest index, and it works down. The helper is already waiting
+/// when the batches open, so this also hangs if opening one wakes no one.
+#[test]
+fn helper_claims_nested_batch_from_the_top() {
+    let claims = Mutex::new(Vec::new());
+    let released = AtomicBool::new(false);
+    Pool::scoped(2, |pool| {
+        while pool.stats().idle_parks == 0 {
+            std::thread::yield_now();
+        }
+        pool.run(1, 0, |_| {
+            let submitter = pool.participant_ordinal();
+            pool.run(6, 1, |j| {
+                claims.lock().unwrap().push((pool.participant_ordinal() == submitter, j));
+                while j == 0 && !released.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                released.store(true, Ordering::Release);
+            });
+        })
+    });
+    let claims = claims.into_inner().unwrap();
+    let by = |own: bool| claims.iter().filter(|c| c.0 == own).map(|c| c.1).collect::<Vec<_>>();
+    let mut order = by(true);
+    order.extend(by(false).iter().rev());
+    assert_eq!(order, [0, 1, 2, 3, 4, 5], "submitter ascends, helper descends: {claims:?}");
 }
 
 /// Panic isolation: a job that always panics is retried
@@ -209,12 +116,12 @@ fn poisoned_job_is_retried_then_lost_deterministically() {
 
 /// Nested batches share the ambient pool: a job submits a sub-batch via
 /// `Pool::with`, which must not spawn threads, and idle workers steal the
-/// nested jobs from the submitter's deque. Nested job 0 plays a "stalled
-/// subtree": its executor (always the nested submitter — LIFO pops take
-/// index 0 first, thieves take the highest index) refuses to finish until
-/// some *other* nested job has completed, and the only way another nested
-/// job can run — even on a single hardware core — is for an idle worker
-/// to steal it. So `steals > 0` is a structural guarantee, not a timing
+/// nested jobs. Nested job 0 plays a "stalled subtree": its executor
+/// (always the nested submitter — it claims its own batch from index 0,
+/// while others take the highest index) refuses to finish until some
+/// *other* nested job has completed, and the only way another nested job
+/// can run — even on a single hardware core — is for an idle worker to
+/// steal it. So `steals > 0` is a structural guarantee, not a timing
 /// accident.
 #[test]
 fn nested_batches_reuse_pool_and_get_stolen() {
@@ -272,22 +179,25 @@ fn non_participant_submission_runs_inline() {
 }
 
 /// Oversubscription smoke: many more participants than cores, nested
-/// batches, and tiny jobs — the timed-park design must neither deadlock
-/// nor livelock. (CI runs the full determinism suite at `--threads 8` on
-/// a 1-CPU runner; this is the in-crate fast check.)
+/// batches, and tiny jobs, over repeated pool lifetimes — the untimed
+/// waits must lose no wake-up at start-up, while draining, or at
+/// shutdown. (CI runs the full determinism suite at `--threads 8` on a
+/// 1-CPU runner; this is the in-crate fast check.)
 #[test]
 fn oversubscribed_pool_drains_nested_batches() {
-    let total = AtomicU64::new(0);
-    Pool::scoped(8, |pool| {
-        let report = pool.run(16, 0, |_| {
-            Pool::with(8, |inner| {
-                let sub = inner.run(8, 2, |_| {
-                    total.fetch_add(1, Ordering::Relaxed);
+    for round in 0..50 {
+        let total = AtomicU64::new(0);
+        Pool::scoped(8, |pool| {
+            let report = pool.run(16, 0, |_| {
+                Pool::with(8, |inner| {
+                    let sub = inner.run(8, 2, |_| {
+                        total.fetch_add(1, Ordering::Relaxed);
+                    });
+                    assert!(sub.is_clean());
                 });
-                assert!(sub.is_clean());
             });
+            assert!(report.is_clean());
         });
-        assert!(report.is_clean());
-    });
-    assert_eq!(total.load(Ordering::Relaxed), 16 * 8);
+        assert_eq!(total.load(Ordering::Relaxed), 16 * 8, "round {round}");
+    }
 }

@@ -202,22 +202,23 @@ impl StatusBoard {
         self.sched_lost_jobs.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds jobs a participant popped from its own deque.
+    /// Adds jobs a participant claimed from its own newest nested batch.
     pub fn add_sched_local_pops(&self, n: u64) {
         self.sched_local_pops.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds jobs claimed from another participant's deque.
+    /// Adds jobs claimed from the top of another participant's nested
+    /// batch.
     pub fn add_sched_steals(&self, n: u64) {
         self.sched_steals.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds timed idle parks.
+    /// Adds idle waits.
     pub fn add_sched_idle_parks(&self, n: u64) {
         self.sched_idle_parks.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raises the high-water mark of observed scheduler queue depth.
+    /// Raises the high-water mark of unclaimed scheduler jobs.
     pub fn max_sched_queue_depth(&self, depth: u64) {
         self.sched_queue_depth_max.fetch_max(depth, Ordering::Relaxed);
     }
@@ -398,13 +399,13 @@ pub struct StatusSnapshot {
     pub sched_nested_batches: u64,
     /// Jobs abandoned after the scheduler's retry limit.
     pub sched_lost_jobs: u64,
-    /// Jobs popped from the executing participant's own deque.
+    /// Jobs a participant claimed from its own newest nested batch.
     pub sched_local_pops: u64,
-    /// Jobs stolen from another participant's deque.
+    /// Jobs claimed from the top of another participant's nested batch.
     pub sched_steals: u64,
-    /// Timed idle parks.
+    /// Idle waits.
     pub sched_idle_parks: u64,
-    /// High-water mark of observed single-deque depth.
+    /// High-water mark of unclaimed jobs across all open batches.
     pub sched_queue_depth_max: u64,
     /// `rtrd` jobs accepted into the bounded queue.
     pub rtrd_submitted: u64,

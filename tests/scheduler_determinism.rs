@@ -183,9 +183,9 @@ fn unified_trace_stream_matches_sequential() {
 /// candidates are trivial. The run must (a) stay byte-identical to
 /// sequential on *every* attempt and (b) demonstrably exercise dynamic
 /// nesting — nested batches submitted and, on some bounded attempt, jobs
-/// *stolen* out of the stalled submitter's deque. The steal count itself
-/// is scheduling (OS preemption) dependent, hence the bounded retry; the
-/// outputs never are.
+/// *stolen* out of the stalled submitter's nested batch. The steal count
+/// itself is scheduling (OS preemption) dependent, hence the bounded
+/// retry; the outputs never are.
 #[test]
 fn adversarial_fixture_steals_without_diverging() {
     let _g = lock();
@@ -263,7 +263,7 @@ fn adversarial_fixture_steals_without_diverging() {
         }
     }
     assert!(nested > 0, "window solves never became nested batches on the shared pool");
-    assert!(stole, "no attempt stole from the stalled submitter's deque");
+    assert!(stole, "no attempt stole from the stalled submitter's nested batch");
 }
 
 /// Fault injection on the scheduler's own `sched.job` site: the failpoint
