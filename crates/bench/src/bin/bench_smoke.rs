@@ -36,8 +36,10 @@ fn main() {
     bench.record_exploration("ar.", &ex);
     println!("ar: {} windows, best {:?}", ex.records.len(), ex.best_latency.map(|l| l.as_ns()));
 
-    // Relaxed DCT: every window decidable well inside the node budget, so
-    // the node counts are exhaustive-search facts, not budget artifacts.
+    // Relaxed DCT: two windows are decided and three end on the node
+    // budget. A budget-limited window is still deterministic at one
+    // thread, because the search stops after the same nodes on every
+    // machine, so its counters gate like a decided window's.
     let dct = dct_4x4();
     let exp = DctExperiment {
         table: 0,

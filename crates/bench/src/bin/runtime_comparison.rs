@@ -320,37 +320,10 @@ fn main() {
                     out.stats.cuts_generated,
                     out.stats.gap_ppm
                 );
-                bench.counter(format!("{prefix}ilp.nodes{tag}"), out.stats.nodes as u64);
-                bench.counter(
-                    format!("{prefix}ilp.pivots{tag}"),
-                    out.stats.simplex_iterations as u64,
-                );
+                bench.record_counters(&format!("{prefix}ilp."), &out.stats, tag);
                 bench.counter(
                     format!("{prefix}ilp.found_feasible{tag}"),
                     u64::from(out.status.has_solution()),
-                );
-                bench.counter(format!("{prefix}ilp.gap_ppm{tag}"), out.stats.gap_ppm as u64);
-                bench.counter(
-                    format!("{prefix}ilp.cuts_generated{tag}"),
-                    out.stats.cuts_generated as u64,
-                );
-                bench
-                    .counter(format!("{prefix}ilp.cuts_active{tag}"), out.stats.cuts_active as u64);
-                bench.counter(
-                    format!("{prefix}ilp.gomory_rounds{tag}"),
-                    out.stats.gomory_rounds as u64,
-                );
-                bench.counter(
-                    format!("{prefix}ilp.lp.devex_resets{tag}"),
-                    out.stats.devex_resets as u64,
-                );
-                bench.counter(
-                    format!("{prefix}ilp.pseudo_cost_branches{tag}"),
-                    out.stats.pseudo_cost_branches as u64,
-                );
-                bench.counter(
-                    format!("{prefix}ilp.strong_branch_evals{tag}"),
-                    out.stats.strong_branch_evals as u64,
                 );
             }
             Err(e) => println!("  -> solver error: {e}\n"),

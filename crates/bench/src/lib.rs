@@ -12,7 +12,7 @@ use rtr_core::{
     Architecture, Exploration, ExploreParams, IterationResult, SearchLimits, TemporalPartitioner,
 };
 use rtr_graph::{Area, Latency, TaskGraph};
-use rtr_trace::{write_value, Escaped, Value};
+use rtr_trace::{write_value, Escaped, Instrument, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -297,26 +297,7 @@ impl BenchRun {
         self.record_windows_tagged(prefix, ex, tag);
         let st = ex.structured_totals();
         if st.nodes > 0 {
-            self.counter(format!("{prefix}structured.nodes{tag}"), st.nodes);
-            self.counter(format!("{prefix}structured.latency_prunes{tag}"), st.latency_prunes);
-            self.counter(format!("{prefix}structured.area_prunes{tag}"), st.area_prunes);
-            self.counter(format!("{prefix}structured.memory_rejects{tag}"), st.memory_rejects);
-            self.counter(format!("{prefix}structured.dominance_prunes{tag}"), st.dominance_prunes);
-            self.counter(
-                format!("{prefix}structured.incumbent_updates{tag}"),
-                st.incumbent_updates,
-            );
-            // Depth-bucketed node/prune attribution: which fraction of the
-            // assignment tree each depth band accounts for, and where the
-            // pruning actually bites.
-            for (i, (&n, &p)) in st.nodes_by_depth.iter().zip(&st.prunes_by_depth).enumerate() {
-                if n > 0 {
-                    self.counter(format!("{prefix}structured.depth{i}.nodes{tag}"), n);
-                }
-                if p > 0 {
-                    self.counter(format!("{prefix}structured.depth{i}.prunes{tag}"), p);
-                }
-            }
+            self.record_counters(&format!("{prefix}structured."), &st, tag);
             // Search throughput: nodes over the wall-clock of the windows
             // that actually ran the structured solver.
             let solve_secs: f64 = ex
@@ -334,17 +315,16 @@ impl BenchRun {
         }
         let mt = ex.milp_totals();
         if mt.nodes > 0 {
-            self.counter(format!("{prefix}milp.nodes{tag}"), mt.nodes as u64);
-            self.counter(format!("{prefix}milp.pivots{tag}"), mt.simplex_iterations as u64);
-            self.counter(format!("{prefix}milp.nodes_pruned{tag}"), mt.nodes_pruned as u64);
-            self.counter(format!("{prefix}milp.lp_time_us{tag}"), mt.lp_time.as_micros() as u64);
-            self.counter(format!("{prefix}milp.lp.warm_starts{tag}"), mt.warm_starts as u64);
-            self.counter(format!("{prefix}milp.lp.cold_starts{tag}"), mt.cold_starts as u64);
-            self.counter(
-                format!("{prefix}milp.lp.refactorizations{tag}"),
-                mt.refactorizations as u64,
-            );
-            self.counter(format!("{prefix}milp.lp.pivots_saved{tag}"), mt.pivots_saved as u64);
+            self.record_counters(&format!("{prefix}milp."), &mt, tag);
+            self.metric(format!("{prefix}milp.lp_time_us{tag}"), mt.lp_time.as_micros() as f64);
+        }
+    }
+
+    /// Records every exact counter of `stats` (see [`Instrument`]) as
+    /// `{prefix}{name}{tag}`.
+    pub fn record_counters(&mut self, prefix: &str, stats: &impl Instrument, tag: &str) {
+        for (name, value) in stats.counters() {
+            self.counter(format!("{prefix}{name}{tag}"), value);
         }
     }
 
@@ -398,6 +378,7 @@ impl BenchRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtr_core::Backend;
     use rtr_workloads::dct::dct_4x4;
 
     #[test]
@@ -445,6 +426,29 @@ mod tests {
         assert!(json.contains("\"x.solves\""), "{json}");
         assert!(json.contains("\"x.structured.nodes\""), "{json}");
         assert!(json.contains("\"x.best_latency_ns\""), "{json}");
+    }
+
+    #[test]
+    fn bench_run_files_milp_wall_time_as_a_metric() {
+        let g = rtr_workloads::ar::ar_filter().expect("static construction");
+        let arch =
+            Architecture::new(Area::new(g.total_min_area().units() / 2), 64, Latency::from_us(1.0));
+        let params = ExploreParams {
+            delta: Latency::from_ns(20.0),
+            gamma: 2,
+            backend: Backend::Milp,
+            ..Default::default()
+        };
+        let part = TemporalPartitioner::new(&g, &arch, params).expect("tasks fit");
+        let ex = part.explore().expect("exploration runs");
+        let mut run = BenchRun::new("probe");
+        run.record_exploration("x.", &ex);
+        assert!(run.metrics.contains_key("x.milp.lp_time_us"), "{}", run.to_json());
+        assert!(!run.counters.contains_key("x.milp.lp_time_us"), "{}", run.to_json());
+        // Every exact `SolveStats` counter is a BENCH counter, by its trace name.
+        for (name, value) in ex.milp_totals().counters() {
+            assert_eq!(run.counters.get(&format!("x.milp.{name}")), Some(&value), "{name}");
+        }
     }
 
     #[test]

@@ -133,46 +133,6 @@ fn solve_optimal_inner(
     }
 }
 
-/// Sweeps partition bounds `1..=n_cap` and returns the best optimal solution
-/// across all of them — the true global optimum of the instance.
-///
-/// # Errors
-///
-/// Propagates backend failures.
-pub fn solve_optimal_over_bounds(
-    graph: &TaskGraph,
-    arch: &Architecture,
-    n_cap: u32,
-    backend: Backend,
-    limits: SearchLimits,
-) -> Result<OptimalOutcome, PartitionError> {
-    let mut best: Option<(Solution, Latency)> = None;
-    let mut any_interrupted = false;
-    for n in 1..=n_cap {
-        match solve_optimal(graph, arch, n, backend, limits)? {
-            OptimalOutcome::Optimal(sol, lat) => {
-                if best.as_ref().map(|(_, b)| lat < *b).unwrap_or(true) {
-                    best = Some((sol, lat));
-                }
-            }
-            OptimalOutcome::Interrupted(inc) => {
-                any_interrupted = true;
-                if let Some((sol, lat)) = inc {
-                    if best.as_ref().map(|(_, b)| lat < *b).unwrap_or(true) {
-                        best = Some((sol, lat));
-                    }
-                }
-            }
-            OptimalOutcome::Infeasible => {}
-        }
-    }
-    Ok(match (best, any_interrupted) {
-        (Some((sol, lat)), false) => OptimalOutcome::Optimal(sol, lat),
-        (best, true) => OptimalOutcome::Interrupted(best),
-        (None, false) => OptimalOutcome::Infeasible,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,23 +183,5 @@ mod tests {
             solve_optimal(&g, &arch, 1, Backend::Structured, SearchLimits::default()).unwrap(),
             OptimalOutcome::Infeasible
         );
-    }
-
-    #[test]
-    fn sweep_picks_best_bound() {
-        let g = graph();
-        let arch = Architecture::new(Area::new(200), 64, Latency::from_ms(1.0));
-        // Huge C_T: best is a single partition with both fast points:
-        // 150 + 120 serialized? They're chained: 270 + 1 ms.
-        let out =
-            solve_optimal_over_bounds(&g, &arch, 3, Backend::Structured, SearchLimits::default())
-                .unwrap();
-        match out {
-            OptimalOutcome::Optimal(sol, lat) => {
-                assert_eq!(sol.partitions_used(), 1);
-                assert_eq!(lat.as_ns(), 270.0 + 1e6);
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
     }
 }

@@ -12,8 +12,8 @@ use crate::solution::Solution;
 use crate::structured::{SearchGoal, SearchLimits, SearchOutcome, StructuredSolver};
 use rtr_graph::{Latency, TaskGraph};
 use rtr_milp::SolveOptions;
-use rtr_trace::CancelFlag;
 use rtr_trace::Instrument as _;
+use rtr_trace::{CancelFlag, Metric};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -452,15 +452,11 @@ fn emit_iteration_event(record: &IterationRecord) {
     let board = rtr_trace::status::board();
     match &record.result {
         IterationResult::Feasible { latency, .. } => {
-            board.record_window(rtr_trace::WindowOutcome::Feasible);
+            board.add(Metric::WindowsFeasible, 1);
             board.record_incumbent(latency.as_ns());
         }
-        IterationResult::Infeasible => {
-            board.record_window(rtr_trace::WindowOutcome::Infeasible);
-        }
-        IterationResult::LimitReached => {
-            board.record_window(rtr_trace::WindowOutcome::LimitReached);
-        }
+        IterationResult::Infeasible => board.add(Metric::WindowsInfeasible, 1),
+        IterationResult::LimitReached => board.add(Metric::WindowsLimit, 1),
     }
     rtr_trace::event("search.iteration", || {
         let mut fields: Vec<(String, rtr_trace::Value)> = vec![

@@ -14,7 +14,8 @@
 use crate::arch::{Architecture, EnvMemoryPolicy};
 use crate::solution::{Placement, Solution};
 use rtr_graph::{TaskGraph, TaskId};
-use rtr_trace::CancelFlag;
+use rtr_trace::{CancelFlag, Metric};
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -159,28 +160,27 @@ impl SearchStats {
 }
 
 impl rtr_trace::Instrument for SearchStats {
-    /// Emits the structured-search counters under `scope` (e.g. scope
-    /// `structured` yields `structured.nodes`, `structured.area_prunes`, ...).
-    fn emit_metrics(&self, scope: &str) {
-        if !rtr_trace::enabled() {
-            return;
-        }
-        rtr_trace::counter(&format!("{scope}.nodes"), self.nodes);
-        rtr_trace::counter(&format!("{scope}.latency_prunes"), self.latency_prunes);
-        rtr_trace::counter(&format!("{scope}.area_prunes"), self.area_prunes);
-        rtr_trace::counter(&format!("{scope}.memory_rejects"), self.memory_rejects);
-        rtr_trace::counter(&format!("{scope}.dominance_prunes"), self.dominance_prunes);
-        rtr_trace::counter(&format!("{scope}.incumbent_updates"), self.incumbent_updates);
-        for (i, &v) in self.nodes_by_depth.iter().enumerate() {
-            if v > 0 {
-                rtr_trace::counter(&format!("{scope}.depth{i}.nodes"), v);
+    /// The structured-search counters (e.g. under scope `structured`:
+    /// `structured.nodes`, `structured.area_prunes`, ...), then the
+    /// non-empty depth buckets.
+    fn counters(&self) -> Vec<(Cow<'static, str>, u64)> {
+        let mut counters: Vec<(Cow<'static, str>, u64)> = vec![
+            ("nodes".into(), self.nodes),
+            ("latency_prunes".into(), self.latency_prunes),
+            ("area_prunes".into(), self.area_prunes),
+            ("memory_rejects".into(), self.memory_rejects),
+            ("dominance_prunes".into(), self.dominance_prunes),
+            ("incumbent_updates".into(), self.incumbent_updates),
+        ];
+        let depths = [("nodes", &self.nodes_by_depth), ("prunes", &self.prunes_by_depth)];
+        for (kind, buckets) in depths {
+            for (i, &v) in buckets.iter().enumerate() {
+                if v > 0 {
+                    counters.push((format!("depth{i}.{kind}").into(), v));
+                }
             }
         }
-        for (i, &v) in self.prunes_by_depth.iter().enumerate() {
-            if v > 0 {
-                rtr_trace::counter(&format!("{scope}.depth{i}.prunes"), v);
-            }
-        }
+        counters
     }
 }
 
@@ -597,7 +597,7 @@ struct State<'s> {
     job_index: usize,
     /// Counter values already pushed to the live status board; the next
     /// publication sends only the delta (see [`publish_status`]).
-    published: StatusPublished,
+    published: SearchStats,
 }
 
 /// One level's dominance signature (see
@@ -606,16 +606,6 @@ struct State<'s> {
 struct MemoSig {
     key: Vec<u32>,
     row: Vec<f64>,
-}
-
-/// Status-board counter values already published for one [`State`].
-#[derive(Debug, Clone, Copy, Default)]
-struct StatusPublished {
-    nodes: u64,
-    latency_prunes: u64,
-    area_prunes: u64,
-    memory_rejects: u64,
-    dominance_prunes: u64,
 }
 
 /// How often (in charged nodes) a search pushes its deltas to the live
@@ -629,22 +619,17 @@ const STATUS_CADENCE: u64 = 4096;
 /// per-job stat resets can only make a delta read as zero, never wrap.
 fn publish_status(st: &mut State) {
     let board = rtr_trace::status::board();
-    let s = st.stats;
-    let p = st.published;
-    board.add_nodes(s.nodes.saturating_sub(p.nodes));
-    board.add_prunes(
-        s.latency_prunes.saturating_sub(p.latency_prunes),
-        s.area_prunes.saturating_sub(p.area_prunes),
-        s.memory_rejects.saturating_sub(p.memory_rejects),
-        s.dominance_prunes.saturating_sub(p.dominance_prunes),
-    );
-    st.published = StatusPublished {
-        nodes: s.nodes,
-        latency_prunes: s.latency_prunes,
-        area_prunes: s.area_prunes,
-        memory_rejects: s.memory_rejects,
-        dominance_prunes: s.dominance_prunes,
-    };
+    let (s, p) = (&st.stats, &st.published);
+    for (metric, now, then) in [
+        (Metric::Nodes, s.nodes, p.nodes),
+        (Metric::LatencyPrunes, s.latency_prunes, p.latency_prunes),
+        (Metric::AreaPrunes, s.area_prunes, p.area_prunes),
+        (Metric::MemoryRejects, s.memory_rejects, p.memory_rejects),
+        (Metric::DominancePrunes, s.dominance_prunes, p.dominance_prunes),
+    ] {
+        board.add(metric, now.saturating_sub(then));
+    }
+    st.published = st.stats;
 }
 
 impl<'g> StructuredSolver<'g> {
@@ -962,7 +947,7 @@ impl<'g> StructuredSolver<'g> {
             shared: None,
             budget_left: 0,
             job_index: 0,
-            published: StatusPublished::default(),
+            published: SearchStats::default(),
         }
     }
 
@@ -1674,7 +1659,7 @@ impl<'g> StructuredSolver<'g> {
                 st.best = None;
             }
             worker_jobs[pid].fetch_add(1, Ordering::Relaxed);
-            board.add_jobs_claimed(1);
+            board.add(Metric::JobsClaimed, 1);
             st.job_index = j;
             let job = &jobs[j];
             // Panic isolation: a panicking job (injected at the
@@ -1694,7 +1679,7 @@ impl<'g> StructuredSolver<'g> {
                 }
                 st.nodes_exhausted = true;
                 st.stats = SearchStats::default();
-                st.published = StatusPublished::default();
+                st.published = SearchStats::default();
                 let prev_best = st.best.as_ref().map(|(b, _)| *b);
                 let (finished, events) = rtr_trace::capture(|| {
                     catch_unwind(AssertUnwindSafe(|| {
@@ -1762,7 +1747,7 @@ impl<'g> StructuredSolver<'g> {
                         _ => None,
                     };
                     let mut job_stats = std::mem::take(&mut st.stats);
-                    st.published = StatusPublished::default();
+                    st.published = SearchStats::default();
                     job_stats.exhausted = st.nodes_exhausted;
                     job_stats.panics_caught += panics;
                     job_stats.jobs_retried += retries;

@@ -197,7 +197,7 @@ impl CutPool {
         self.seq += 1;
         self.cuts.push(cut);
         self.generated += 1;
-        rtr_trace::status::board().add_ilp_cuts(1);
+        rtr_trace::status::board().add(rtr_trace::Metric::IlpCuts, 1);
         true
     }
 

@@ -53,7 +53,6 @@
 mod branch;
 mod cuts;
 mod error;
-mod lpformat;
 mod model;
 mod presolve;
 mod simplex;

@@ -693,7 +693,7 @@ impl<'a> Solver<'a> {
     /// Appends the pivot eta and refactorizes on cadence.
     fn after_pivot(&mut self, r: usize, w: &[f64]) {
         self.etas.push(r, w);
-        rtr_trace::status::board().add_lp_pivots(1);
+        rtr_trace::status::board().add(rtr_trace::Metric::LpPivots, 1);
         self.pivots_since_refactor += 1;
         if self.pivots_since_refactor >= REFACTOR_INTERVAL {
             // A refactorization failure here would be purely numerical (every
@@ -811,7 +811,7 @@ impl<'a> Solver<'a> {
         if max_w > DEVEX_RESET_LIMIT {
             weights.fill(1.0);
             self.devex_resets += 1;
-            rtr_trace::status::board().add_lp_devex_resets(1);
+            rtr_trace::status::board().add(rtr_trace::Metric::LpDevexResets, 1);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Solve options, solutions, and outcomes.
 
 use rtr_trace::CancelFlag;
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Duration;
 
@@ -244,44 +245,47 @@ impl SolveStats {
 }
 
 impl rtr_trace::Instrument for SolveStats {
-    /// Emits the branch-and-bound counters under `scope` (e.g. scope
-    /// `milp` yields `milp.nodes`, `milp.pivots`, ...). This is the single
-    /// emission path for MILP statistics — the driver and the optimality
-    /// runner both report through it rather than hand-copying counters.
+    /// The branch-and-bound counters (e.g. under scope `milp`:
+    /// `milp.nodes`, `milp.pivots`, ...). This is the single list of MILP
+    /// statistics: the driver, the optimality runner and the BENCH files
+    /// all report through it rather than hand-copying counters.
+    fn counters(&self) -> Vec<(Cow<'static, str>, u64)> {
+        [
+            ("nodes", self.nodes),
+            ("pivots", self.simplex_iterations),
+            ("nodes_pruned", self.nodes_pruned),
+            ("infeasible_nodes", self.infeasible_nodes),
+            ("presolve_tightened_bounds", self.presolve_tightened_bounds),
+            ("presolve_removed_rows", self.presolve_removed_rows),
+            ("lp.warm_starts", self.warm_starts),
+            ("lp.cold_starts", self.cold_starts),
+            ("lp.refactorizations", self.refactorizations),
+            ("lp.pivots_saved", self.pivots_saved),
+            ("cuts_generated", self.cuts_generated),
+            ("cuts_active", self.cuts_active),
+            ("gomory_rounds", self.gomory_rounds),
+            ("lp.devex_resets", self.devex_resets),
+            ("pseudo_cost_branches", self.pseudo_cost_branches),
+            ("strong_branch_evals", self.strong_branch_evals),
+            ("gap_ppm", self.gap_ppm),
+        ]
+        .into_iter()
+        .map(|(name, value)| (name.into(), value as u64))
+        .collect()
+    }
+
+    /// The counters, with the LP wall time in its trace place after
+    /// `infeasible_nodes`. It is no exact counter, so BENCH files record
+    /// it as a metric instead.
     fn emit_metrics(&self, scope: &str) {
         if !rtr_trace::enabled() {
             return;
         }
-        rtr_trace::counter(&format!("{scope}.nodes"), self.nodes as u64);
-        rtr_trace::counter(&format!("{scope}.pivots"), self.simplex_iterations as u64);
-        rtr_trace::counter(&format!("{scope}.nodes_pruned"), self.nodes_pruned as u64);
-        rtr_trace::counter(&format!("{scope}.infeasible_nodes"), self.infeasible_nodes as u64);
-        rtr_trace::counter(&format!("{scope}.lp_time_us"), self.lp_time.as_micros() as u64);
-        rtr_trace::counter(
-            &format!("{scope}.presolve_tightened_bounds"),
-            self.presolve_tightened_bounds as u64,
-        );
-        rtr_trace::counter(
-            &format!("{scope}.presolve_removed_rows"),
-            self.presolve_removed_rows as u64,
-        );
-        rtr_trace::counter(&format!("{scope}.lp.warm_starts"), self.warm_starts as u64);
-        rtr_trace::counter(&format!("{scope}.lp.cold_starts"), self.cold_starts as u64);
-        rtr_trace::counter(&format!("{scope}.lp.refactorizations"), self.refactorizations as u64);
-        rtr_trace::counter(&format!("{scope}.lp.pivots_saved"), self.pivots_saved as u64);
-        rtr_trace::counter(&format!("{scope}.cuts_generated"), self.cuts_generated as u64);
-        rtr_trace::counter(&format!("{scope}.cuts_active"), self.cuts_active as u64);
-        rtr_trace::counter(&format!("{scope}.gomory_rounds"), self.gomory_rounds as u64);
-        rtr_trace::counter(&format!("{scope}.lp.devex_resets"), self.devex_resets as u64);
-        rtr_trace::counter(
-            &format!("{scope}.pseudo_cost_branches"),
-            self.pseudo_cost_branches as u64,
-        );
-        rtr_trace::counter(
-            &format!("{scope}.strong_branch_evals"),
-            self.strong_branch_evals as u64,
-        );
-        rtr_trace::counter(&format!("{scope}.gap_ppm"), self.gap_ppm as u64);
+        let mut counters = self.counters();
+        counters.insert(4, ("lp_time_us".into(), self.lp_time.as_micros() as u64));
+        for (name, value) in counters {
+            rtr_trace::counter(&format!("{scope}.{name}"), value);
+        }
     }
 }
 

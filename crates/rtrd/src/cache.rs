@@ -41,6 +41,7 @@
 //!   Outcome-invariant: the next request misses and re-solves.
 
 use rtr_core::checkpoint::{atomic_durable_write, fnv1a, Checkpoint};
+use rtr_trace::Metric;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -101,20 +102,20 @@ impl SolveCache {
         // Failpoint: a suppressed read degrades a hit to a miss — the job
         // re-solves deterministically, so results are unchanged.
         if rtr_trace::failpoint::failpoint("rtrd.cache.read", fingerprint) {
-            rtr_trace::status::board().add_rtrd_cache_misses(1);
+            rtr_trace::status::board().add(Metric::RtrdCacheMisses, 1);
             return Lookup::Miss;
         }
         let path = self.entry_path(fingerprint);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(_) => {
-                rtr_trace::status::board().add_rtrd_cache_misses(1);
+                rtr_trace::status::board().add(Metric::RtrdCacheMisses, 1);
                 return Lookup::Miss;
             }
         };
         match verify_entry(&bytes) {
             Some(checkpoint) => {
-                rtr_trace::status::board().add_rtrd_cache_hits(1);
+                rtr_trace::status::board().add(Metric::RtrdCacheHits, 1);
                 Lookup::Hit(checkpoint)
             }
             None => {
@@ -139,7 +140,7 @@ impl SolveCache {
             // time either.
             let _ = std::fs::remove_file(path);
         }
-        rtr_trace::status::board().add_rtrd_cache_evictions(1);
+        rtr_trace::status::board().add(Metric::RtrdCacheEvictions, 1);
         rtr_trace::counter("rtrd.cache.evictions", 1);
     }
 

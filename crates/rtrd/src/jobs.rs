@@ -39,7 +39,7 @@ use crate::cache::{Lookup, SolveCache};
 use crate::request::JobRequest;
 use rtr_core::checkpoint::{Checkpoint, CheckpointPolicy};
 use rtr_core::{Exploration, TemporalPartitioner};
-use rtr_trace::{CancelFlag, Escaped};
+use rtr_trace::{CancelFlag, Escaped, Metric};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -179,7 +179,7 @@ impl JobTable {
         let board = rtr_trace::status::board();
         let mut inner = self.lock();
         if inner.draining || inner.stop {
-            board.add_rtrd_rejected(1);
+            board.add(Metric::RtrdRejected, 1);
             return Err(SubmitError::Draining);
         }
         // Failpoint: an injected rejection exercises the backpressure path;
@@ -188,11 +188,11 @@ impl JobTable {
         // retried submit draws a fresh deterministic decision.
         let seq = self.submit_seq.fetch_add(1, Ordering::Relaxed);
         if rtr_trace::failpoint::failpoint("rtrd.admission", seq) {
-            board.add_rtrd_rejected(1);
+            board.add(Metric::RtrdRejected, 1);
             return Err(SubmitError::QueueFull { retry_after_ms: RETRY_AFTER_MS });
         }
         if inner.queue.len() + inner.running >= self.queue_cap {
-            board.add_rtrd_rejected(1);
+            board.add(Metric::RtrdRejected, 1);
             return Err(SubmitError::QueueFull { retry_after_ms: RETRY_AFTER_MS });
         }
         let id = inner.next_id;
@@ -209,7 +209,7 @@ impl JobTable {
             },
         );
         inner.queue.push_back(id);
-        board.add_rtrd_submitted(1);
+        board.add(Metric::RtrdSubmitted, 1);
         drop(inner);
         self.work_ready.notify_one();
         Ok((id, fingerprint))
@@ -408,7 +408,7 @@ impl JobTable {
         if let Lookup::Hit(checkpoint) = self.cache.load(fingerprint) {
             match partitioner.explore_resumable(1, None, Some(&checkpoint), |_| {}) {
                 Ok(exploration) => {
-                    board.add_rtrd_completed(1);
+                    board.add(Metric::RtrdCompleted, 1);
                     return JobState::Done {
                         result: render_result(&exploration, request),
                         cached: true,
@@ -447,11 +447,11 @@ impl JobTable {
                     // Interrupted: keep the job checkpoint as the
                     // resumable state of a future resubmit; the cache
                     // proper only holds completed runs.
-                    board.add_rtrd_cancelled(1);
+                    board.add(Metric::RtrdCancelled, 1);
                 } else {
                     self.cache.promote_job_checkpoint(fingerprint);
                 }
-                board.add_rtrd_completed(1);
+                board.add(Metric::RtrdCompleted, 1);
                 JobState::Done {
                     result: render_result(&exploration, request),
                     cached: false,

@@ -178,6 +178,32 @@ fn drain_stops_admission_but_finishes_queued_work() {
 }
 
 #[test]
+fn status_carries_every_board_counter_and_the_server_fields() {
+    let scratch = Scratch::new("status");
+    let server = server(&scratch, 4, 1);
+    let status = http(server.local_addr(), "GET", "/v1/status", "");
+    assert_eq!(status.status, 200);
+    let body = rtr_trace::parse_value(&status.body).expect("status body is JSON");
+    let rtr_trace::JsonValue::Obj(fields) = body else { panic!("not an object: {}", status.body) };
+    let board_keys = rtr_trace::Metric::ALL.iter().map(|m| m.name());
+    let other_keys = [
+        "ts_us",
+        "incumbent_latency_ns",
+        "checkpoint_age_us",
+        "windows_done",
+        "queue_depth",
+        "draining",
+        "resumable",
+    ];
+    let expected: Vec<&str> = board_keys.chain(other_keys).collect();
+    for key in &expected {
+        assert!(fields.iter().any(|(k, _)| k == key), "status lacks {key}: {}", status.body);
+    }
+    assert_eq!(fields.len(), expected.len(), "unexpected status keys: {}", status.body);
+    server.shutdown();
+}
+
+#[test]
 fn client_errors_are_typed_not_fatal() {
     let scratch = Scratch::new("errors");
     let server = server(&scratch, 4, 1);

@@ -53,7 +53,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use rtr_trace::status::board;
+use rtr_trace::status::{board, Metric};
 
 /// A job that panics on every attempt is abandoned after this many
 /// retries (matching the per-layer `PANIC_RETRY_LIMIT` it replaces).
@@ -300,12 +300,10 @@ impl Pool {
             fail_key,
             account: Mutex::new(Account::default()),
         };
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        board().add_sched_batches(1);
+        bump(&self.counters.batches, Metric::SchedBatches);
         let nested = EXEC_DEPTH.with(Cell::get) > 0;
         if nested {
-            self.counters.nested_batches.fetch_add(1, Ordering::Relaxed);
-            board().add_sched_nested_batches(1);
+            bump(&self.counters.nested_batches, Metric::SchedNestedBatches);
         }
 
         match self.participant_ordinal() {
@@ -314,7 +312,7 @@ impl Pool {
                 open.push(Open { batch: &raw const batch, lo: 0, hi: count, owner: me, nested });
                 let depth = open.iter().map(|o| (o.hi - o.lo) as u64).sum();
                 self.counters.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-                board().max_sched_queue_depth(depth);
+                board().raise(Metric::SchedQueueDepthMax, depth);
                 self.wake.notify_all();
                 drop(open);
                 self.participate(me, || batch.remaining.load(Ordering::Relaxed) == 0);
@@ -354,8 +352,7 @@ impl Pool {
         let mut open = self.lock();
         while !done() {
             let Some((batch, index)) = self.claim(&mut open, me) else {
-                self.counters.idle_parks.fetch_add(1, Ordering::Relaxed);
-                board().add_sched_idle_parks(1);
+                bump(&self.counters.idle_parks, Metric::SchedIdleParks);
                 open = self.wake.wait(open).unwrap_or_else(PoisonError::into_inner);
                 continue;
             };
@@ -379,8 +376,7 @@ impl Pool {
     fn claim(&self, open: &mut Vec<Open>, me: usize) -> Option<(*const BatchShared, usize)> {
         let n = self.threads;
         let (at, top) = if let Some(at) = open.iter().rposition(|o| o.nested && o.owner == me) {
-            self.counters.local_pops.fetch_add(1, Ordering::Relaxed);
-            board().add_sched_local_pops(1);
+            bump(&self.counters.local_pops, Metric::SchedLocalPops);
             (at, false)
         } else if let Some(at) = open.iter().position(|o| !o.nested) {
             self.counters.injector_pops.fetch_add(1, Ordering::Relaxed);
@@ -388,8 +384,7 @@ impl Pool {
         } else {
             let at = (1..n)
                 .find_map(|k| open.iter().position(|o| o.nested && o.owner == (me + k) % n))?;
-            self.counters.steals.fetch_add(1, Ordering::Relaxed);
-            board().add_sched_steals(1);
+            bump(&self.counters.steals, Metric::SchedSteals);
             (at, true)
         };
         let entry = &mut open[at];
@@ -430,8 +425,7 @@ impl Pool {
                     if attempt >= SCHED_RETRY_LIMIT {
                         account.lost.push(index);
                         drop(account);
-                        self.counters.lost_jobs.fetch_add(1, Ordering::Relaxed);
-                        board().add_sched_lost_jobs(1);
+                        bump(&self.counters.lost_jobs, Metric::SchedLostJobs);
                         break;
                     }
                     account.jobs_retried += 1;
@@ -440,15 +434,14 @@ impl Pool {
             }
         }
         EXEC_DEPTH.with(|d| d.set(depth));
-        self.counters.jobs.fetch_add(1, Ordering::Relaxed);
-        board().add_sched_jobs(1);
+        bump(&self.counters.jobs, Metric::SchedJobs);
     }
 
     fn worker_loop(&self, ordinal: usize) {
         let _current = CurrentGuard::set(self, ordinal);
-        board().worker_started();
+        board().add(Metric::WorkersActive, 1);
         self.participate(ordinal, || self.shutdown.load(Ordering::Relaxed));
-        board().worker_stopped();
+        board().sub(Metric::WorkersActive, 1);
     }
 
     /// Emit the final `sched.*` telemetry for this pool's lifetime.
@@ -472,6 +465,12 @@ impl Pool {
         rtr_trace::gauge("sched.idle_parks", stats.idle_parks as f64);
         rtr_trace::gauge("sched.max_queue_depth", stats.max_queue_depth as f64);
     }
+}
+
+/// Adds one to a per-pool counter and to its twin on the status board.
+fn bump(counter: &AtomicU64, metric: Metric) {
+    counter.fetch_add(1, Ordering::Relaxed);
+    board().add(metric, 1);
 }
 
 /// RAII for the thread-local participant registration.

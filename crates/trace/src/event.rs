@@ -1,5 +1,6 @@
 //! Structured events: the unit of everything the trace layer records.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Duration;
 
@@ -200,13 +201,24 @@ impl Event {
 }
 
 /// Types that can describe themselves as trace metrics — implemented by the
-/// solver-statistics structs across the workspace so each layer emits its
-/// counters through one shared path instead of hand-copied `counter()`
-/// calls.
+/// solver-statistics structs across the workspace so each layer lists its
+/// counters once, for the trace stream and for BENCH JSON alike.
 pub trait Instrument {
-    /// Emits this value's metrics under the dotted `scope` prefix (e.g.
-    /// scope `milp.solve` yields counters `milp.solve.nodes`, ...).
-    fn emit_metrics(&self, scope: &str);
+    /// Every exact counter — a deterministic work unit such as nodes,
+    /// pivots or prunes — as `(name, value)`, in emission order.
+    fn counters(&self) -> Vec<(Cow<'static, str>, u64)>;
+
+    /// Emits [`counters`](Self::counters) under the dotted `scope` prefix
+    /// (e.g. scope `milp.solve` yields counters `milp.solve.nodes`, ...).
+    /// Does nothing while tracing is off.
+    fn emit_metrics(&self, scope: &str) {
+        if !crate::enabled() {
+            return;
+        }
+        for (name, value) in self.counters() {
+            crate::counter(&format!("{scope}.{name}"), value);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -29,16 +29,17 @@
 //!   [`MAX_DEPTH`], overflowing number literals rejected) and escapes
 //!   strings through [`Escaped`]; [`write_value`] renders field values.
 //! * [`Instrument`] — implemented by solver-statistics structs across the
-//!   workspace so each layer emits its counters through one shared path.
+//!   workspace so each layer lists its exact counters once, for the trace
+//!   stream and BENCH JSON alike.
 //! * [`capture`] — diverts one thread's events into a buffer so parallel
 //!   drivers can re-emit per-worker streams in a deterministic order with
 //!   [`dispatch_all`] (used by the parallel partition-count exploration).
 //! * [`perfetto`] — Chrome / Perfetto trace-event export of an event
 //!   stream ([`RunReport::to_perfetto_json`]), reconstructing per-candidate
 //!   and per-subtree-job timeline tracks.
-//! * [`status`] — the live [`StatusBoard`]: lock-free progress counters
-//!   published by the solver stack and written as heartbeat JSONL by a
-//!   [`StatusWriter`] watcher thread.
+//! * [`status`] — the live [`StatusBoard`]: lock-free progress counters,
+//!   one per declared [`Metric`], published by the solver stack and
+//!   written as heartbeat JSONL by a [`StatusWriter`] watcher thread.
 //!
 //! ## Cost when disabled
 //!
@@ -96,4 +97,4 @@ pub use sink::{
     capture, counter, dispatch, dispatch_all, enabled, event, gauge, install, now_us, span,
     uninstall, JsonlSink, MemorySink, Sink, Span,
 };
-pub use status::{board, StatusBoard, StatusError, StatusSnapshot, StatusWriter, WindowOutcome};
+pub use status::{board, Metric, StatusBoard, StatusError, StatusSnapshot, StatusWriter};
