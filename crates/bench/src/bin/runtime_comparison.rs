@@ -161,7 +161,7 @@ fn main() {
         },
         if cpus == 1 { "" } else { "s" },
     );
-    for exp in [DctExperiment::table3(), DctExperiment::table5()] {
+    for exp in [DctExperiment::paper(3), DctExperiment::paper(5)] {
         let arch = exp.architecture();
         let params = if deadline_mode { exp.params_deadline() } else { exp.params() };
         let partitioner =
@@ -422,7 +422,7 @@ fn main() {
     // from the `checkpoint.write` trace spans; the sum of those spans over
     // the exploration's wall time is the overhead the checkpointing layer
     // promises to keep negligible.
-    let exp = DctExperiment::table3();
+    let exp = DctExperiment::paper(3);
     let arch = exp.architecture();
     let partitioner = TemporalPartitioner::new(&graph, &arch, exp.params()).expect("tasks fit");
     let ck_path = std::env::temp_dir().join(format!("rtr_bench_ck_{}.json", std::process::id()));

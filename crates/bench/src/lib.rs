@@ -1,17 +1,16 @@
-//! Shared experiment harness for the table-regeneration binaries.
+//! Shared experiment harness for the evaluation binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table of the paper's
-//! evaluation section; the configuration and printing logic lives here so
-//! the binaries stay declarative. See `DESIGN.md` (per-experiment index)
-//! and `EXPERIMENTS.md` (paper-vs-measured record) at the repository root.
+//! `reproduce <artifact>` regenerates each committed `results/` table;
+//! the paper's DCT configurations and the per-window budgets live here so
+//! `runtime_comparison` and `bench_smoke` run the same setups. See
+//! `DESIGN.md` (per-experiment index) and `EXPERIMENTS.md`
+//! (paper-vs-measured record) at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rtr_core::{
-    Architecture, Exploration, ExploreParams, IterationResult, SearchLimits, TemporalPartitioner,
-};
-use rtr_graph::{Area, Latency, TaskGraph};
+use rtr_core::{Architecture, Exploration, ExploreParams, IterationResult, SearchLimits};
+use rtr_graph::{Area, Latency};
 use rtr_trace::{write_value, Escaped, Instrument, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -37,48 +36,26 @@ pub struct DctExperiment {
 }
 
 impl DctExperiment {
-    /// Table 3: `R_max = 576`, small reconfiguration overhead, δ = 200.
-    pub fn table3() -> Self {
-        DctExperiment {
-            table: 3,
-            r_max: 576,
-            ct: Latency::from_us(1.0),
-            delta_ns: 200.0,
-            alpha: 0,
-            gamma: 1,
-        }
-    }
-
-    /// Table 4: `R_max = 576`, `C_T = 10 ms`, δ = 200.
-    pub fn table4() -> Self {
-        DctExperiment { ct: Latency::from_ms(10.0), table: 4, ..DctExperiment::table3() }
-    }
-
-    /// Table 5: `R_max = 1024`, δ = 800, small overhead, α = 1.
-    pub fn table5() -> Self {
-        DctExperiment {
-            table: 5,
-            r_max: 1024,
-            ct: Latency::from_us(1.0),
-            delta_ns: 800.0,
-            alpha: 1,
-            gamma: 1,
-        }
-    }
-
-    /// Table 6: `R_max = 1024`, δ = 800, `C_T = 10 ms`, α = 0.
-    pub fn table6() -> Self {
-        DctExperiment { table: 6, ct: Latency::from_ms(10.0), alpha: 0, ..DctExperiment::table5() }
-    }
-
-    /// Table 7: `R_max = 1024`, δ = 100, small overhead.
-    pub fn table7() -> Self {
-        DctExperiment { table: 7, delta_ns: 100.0, ..DctExperiment::table5() }
-    }
-
-    /// Table 8: `R_max = 1024`, δ = 100, `C_T = 10 ms`.
-    pub fn table8() -> Self {
-        DctExperiment { table: 8, delta_ns: 100.0, ..DctExperiment::table6() }
+    /// The configuration of paper Table `table`, one of the DCT Tables 3–8:
+    /// two device sizes, a small (1 µs) and a large (10 ms) reconfiguration
+    /// time, and δ = 200 ns on the small device, 800 or 100 ns on the
+    /// large one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` is not one of the paper's DCT tables.
+    pub fn paper(table: u32) -> Self {
+        let (small, large) = (Latency::from_us(1.0), Latency::from_ms(10.0));
+        let (r_max, ct, delta_ns, alpha) = match table {
+            3 => (576, small, 200.0, 0),
+            4 => (576, large, 200.0, 0),
+            5 => (1024, small, 800.0, 1),
+            6 => (1024, large, 800.0, 0),
+            7 => (1024, small, 100.0, 1),
+            8 => (1024, large, 100.0, 0),
+            _ => panic!("the paper's DCT tables are 3 to 8, not {table}"),
+        };
+        DctExperiment { table, r_max, ct, delta_ns, alpha, gamma: 1 }
     }
 
     /// The architecture of this experiment (`M_max` = 512 words throughout,
@@ -93,11 +70,8 @@ impl DctExperiment {
     /// same solve trace on any machine.
     pub fn params(&self) -> ExploreParams {
         ExploreParams {
-            delta: Latency::from_ns(self.delta_ns),
             alpha: self.alpha,
-            gamma: self.gamma,
-            limits: per_solve_limits(),
-            ..Default::default()
+            ..node_budget_params(self.delta_ns, self.gamma, TABLE_NODE_LIMIT)
         }
     }
 
@@ -113,12 +87,28 @@ impl DctExperiment {
     }
 }
 
-/// Per-`SolveModel()` limits used by all table binaries: a pure node
-/// budget — enough to decide the paper-scale windows, deterministic on any
-/// host. (40 M nodes corresponds to roughly the historical 5 s deadline at
-/// the ~10 M nodes/s the structured solver sustains on one core.)
+/// Exploration parameters under node budgets only: `node_limit` nodes per
+/// `SolveModel()` call, no per-solve deadline and no exploration time
+/// budget, so the solve trace is the same on every host.
+pub fn node_budget_params(delta_ns: f64, gamma: u32, node_limit: u64) -> ExploreParams {
+    ExploreParams {
+        delta: Latency::from_ns(delta_ns),
+        gamma,
+        limits: SearchLimits { node_limit, time_limit: None },
+        time_budget: None,
+        ..Default::default()
+    }
+}
+
+/// Per-`SolveModel()` node budget of the paper tables: enough to decide
+/// the paper-scale windows, deterministic on any host. (40 M nodes
+/// corresponds to roughly the historical 5 s deadline at the ~10 M
+/// nodes/s the structured solver sustains on one core.)
+pub const TABLE_NODE_LIMIT: u64 = 40_000_000;
+
+/// [`TABLE_NODE_LIMIT`] as per-solve limits, with no deadline.
 pub fn per_solve_limits() -> SearchLimits {
-    SearchLimits { node_limit: 40_000_000, time_limit: None }
+    SearchLimits { node_limit: TABLE_NODE_LIMIT, time_limit: None }
 }
 
 /// The wall-clock variant of [`per_solve_limits`]: the same node budget
@@ -126,97 +116,7 @@ pub fn per_solve_limits() -> SearchLimits {
 /// hosts where 40 M nodes takes too long; the resulting tables depend on
 /// machine speed.
 pub fn per_solve_limits_deadline() -> SearchLimits {
-    SearchLimits { node_limit: 40_000_000, time_limit: Some(Duration::from_secs(5)) }
-}
-
-/// Worker threads the table binaries use: the `RTR_THREADS` environment
-/// variable if it parses to a positive integer, else 1. The sequential
-/// default keeps unadorned table regeneration deterministic on any machine;
-/// CI sets `RTR_THREADS=8` to exercise the parallel schedule.
-pub fn thread_count() -> usize {
-    std::env::var("RTR_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Runs a DCT experiment on [`thread_count`] worker threads and returns the
-/// exploration.
-///
-/// # Panics
-///
-/// Panics if the partitioner rejects the instance (cannot happen for the
-/// DCT at the paper's device sizes).
-pub fn run_dct_experiment(exp: &DctExperiment, graph: &TaskGraph) -> Exploration {
-    run_dct_experiment_threaded(exp, graph, thread_count())
-}
-
-/// [`run_dct_experiment`] with an explicit worker-thread count (`0` = auto,
-/// `1` = sequential; see `TemporalPartitioner::explore_parallel`).
-///
-/// # Panics
-///
-/// Panics if the partitioner rejects the instance.
-pub fn run_dct_experiment_threaded(
-    exp: &DctExperiment,
-    graph: &TaskGraph,
-    threads: usize,
-) -> Exploration {
-    let arch = exp.architecture();
-    let partitioner =
-        TemporalPartitioner::new(graph, &arch, exp.params()).expect("DCT tasks fit the device");
-    partitioner.explore_parallel(threads).expect("structured backend cannot fail")
-}
-
-/// Prints an exploration in the layout of the paper's tables: one row per
-/// `SolveModel()` call with the bounds shown *without* the `N·C_T`
-/// reconfiguration overhead, exactly like the paper's "Bound (without
-/// N×C_T)" columns.
-pub fn print_paper_table(title: &str, arch: &Architecture, exploration: &Exploration) {
-    println!("{title}");
-    println!(
-        "{:>4} {:>4} {:>14} {:>14} {:>14} {:>4} {:>12}",
-        "N", "I", "Dmin(ns)", "Dmax(ns)", "Da(ns)", "η", "time"
-    );
-    for r in &exploration.records {
-        // Da is shown with the same N·C_T normalization as the bound
-        // columns, so Da ≤ Dmax holds row-wise; η shows how many
-        // partitions the solution actually used.
-        let (result, eta) = match &r.result {
-            IterationResult::Feasible { latency, eta } => (
-                format!("{:.0}", latency.as_ns() - (arch.reconfig_time() * r.n).as_ns()),
-                eta.to_string(),
-            ),
-            IterationResult::Infeasible => ("Inf.".to_owned(), "-".to_owned()),
-            IterationResult::LimitReached => ("Inf.*".to_owned(), "-".to_owned()),
-        };
-        println!(
-            "{:>4} {:>4} {:>14.0} {:>14.0} {:>14} {:>4} {:>12}",
-            r.n,
-            r.iteration,
-            r.d_min_execution(arch).as_ns(),
-            r.d_max_execution(arch).as_ns(),
-            result,
-            eta,
-            format!("{:.1?}", r.elapsed),
-        );
-    }
-    match (&exploration.best, exploration.best_latency) {
-        (Some(best), Some(latency)) => {
-            println!(
-                "best: D_a = {:.0} ns total ({:.0} ns execution over η = {} partitions)",
-                latency.as_ns(),
-                latency.as_ns() - (arch.reconfig_time() * best.partitions_used()).as_ns(),
-                best.partitions_used()
-            );
-        }
-        _ => println!("no feasible solution found"),
-    }
-    println!(
-        "(N_min^l = {}, N_min^u = {}; `Inf.*` = search budget exhausted, treated as infeasible)",
-        exploration.n_min_lower, exploration.n_min_upper
-    );
+    SearchLimits { node_limit: TABLE_NODE_LIMIT, time_limit: Some(Duration::from_secs(5)) }
 }
 
 /// A machine-readable summary of one bench binary's run, written as
@@ -365,8 +265,8 @@ impl BenchRun {
     }
 
     /// [`write`](Self::write), reporting the outcome on standard output /
-    /// error instead of returning it — the convenience every bench binary
-    /// tail-calls.
+    /// error instead of returning it — the convenience the BENCH-writing
+    /// binaries tail-call.
     pub fn write_and_report(&self) {
         match self.write() {
             Ok(path) => println!("\nwrote {}", path.display()),
@@ -378,8 +278,7 @@ impl BenchRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_core::Backend;
-    use rtr_workloads::dct::dct_4x4;
+    use rtr_core::{Backend, TemporalPartitioner};
 
     #[test]
     fn bench_run_json_shape() {
@@ -453,26 +352,13 @@ mod tests {
 
     #[test]
     fn experiment_configs_match_paper_parameters() {
-        assert_eq!(DctExperiment::table3().r_max, 576);
-        assert_eq!(DctExperiment::table4().ct, Latency::from_ms(10.0));
-        assert_eq!(DctExperiment::table5().alpha, 1);
-        assert_eq!(DctExperiment::table7().delta_ns, 100.0);
-        assert_eq!(DctExperiment::table8().r_max, 1024);
-    }
-
-    #[test]
-    fn table_printer_does_not_panic() {
-        let g = dct_4x4();
-        let exp = DctExperiment {
-            table: 0,
-            r_max: 1024,
-            ct: Latency::from_us(1.0),
-            delta_ns: 2_000.0,
-            alpha: 0,
-            gamma: 0,
-        };
-        let ex = run_dct_experiment(&exp, &g);
-        print_paper_table("smoke", &exp.architecture(), &ex);
-        assert!(ex.best.is_some());
+        assert!((3..=8).all(|table| DctExperiment::paper(table).table == table));
+        assert_eq!(DctExperiment::paper(3).r_max, 576);
+        assert_eq!(DctExperiment::paper(4).ct, Latency::from_ms(10.0));
+        assert_eq!(DctExperiment::paper(5).alpha, 1);
+        assert_eq!(DctExperiment::paper(7).delta_ns, 100.0);
+        assert_eq!(DctExperiment::paper(8).r_max, 1024);
+        let params = DctExperiment::paper(3).params();
+        assert_eq!((params.limits.time_limit, params.time_budget), (None, None));
     }
 }

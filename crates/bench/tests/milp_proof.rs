@@ -18,7 +18,7 @@ fn small_window_proved_optimal_warm_and_cold() {
     let n = 2;
     let options =
         ModelOptions { minimize_latency: true, include_dmin_cut: false, ..Default::default() };
-    for exp in [DctExperiment::table3(), DctExperiment::table5()] {
+    for exp in [DctExperiment::paper(3), DctExperiment::paper(5)] {
         let arch = exp.architecture();
         let d_max = rtr_core::max_latency(&graph, &arch, n);
         let ilp = IlpModel::build(&graph, &arch, n, d_max, Latency::ZERO, &options)

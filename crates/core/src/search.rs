@@ -1313,9 +1313,12 @@ impl<'g> TemporalPartitioner<'g> {
     /// this instance and to every parameter that shapes the exploration
     /// trajectory — including the milp backend's [`SolveOptions`] budgets,
     /// so differently-budgeted runs never alias. Thread counts and the
-    /// cancellation latch are deliberately excluded: the parallel merge is
-    /// bit-identical to the sequential loop, so a checkpoint may be resumed
-    /// at any `threads`, and cancellation is run-state, not a parameter.
+    /// cancellation latch are deliberately excluded: cancellation is
+    /// run-state, not a parameter, and the parallel merge is bit-identical
+    /// to the sequential loop as long as no window ends on its budget. A
+    /// window that does is best-effort above one thread (DESIGN.md,
+    /// "Determinism envelope"), so a checkpoint or cache entry is only
+    /// byte-reproducible at `threads` 1, or when no budget fires.
     pub fn fingerprint(&self) -> u64 {
         let p = &self.params;
         let m = &p.milp_options;

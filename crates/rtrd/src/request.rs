@@ -21,7 +21,8 @@
 //! ```
 //!
 //! `arch.rmax`, `arch.ct_ns`, and `graph` are required; everything else
-//! has the CLI's defaults. `solve_nodes` swaps the per-window wall-clock
+//! has the CLI's defaults. `gamma` may not exceed the graph's task count,
+//! nor `threads` 64. `solve_nodes` swaps the per-window wall-clock
 //! budget for a node budget (machine-independent, byte-reproducible — the
 //! mode the solve cache wants). `deadline_ms` arms the per-job deadline
 //! watchdog; expiry cancels the job cooperatively and the response carries
@@ -34,6 +35,10 @@ use rtr_graph::{Area, Latency, TaskGraph};
 use rtr_trace::{parse_value, JsonValue};
 use std::fmt;
 use std::time::Duration;
+
+/// The most worker threads one job may ask for: the solve's pool starts
+/// them all up front.
+const MAX_THREADS: u64 = 64;
 
 /// One parsed, validated solve job.
 #[derive(Debug, Clone)]
@@ -195,6 +200,13 @@ impl JobRequest {
         let alpha32 = get_u64(params_val, "alpha")?.unwrap_or(0);
         let gamma32 = get_u64(params_val, "gamma")?.unwrap_or(1);
         let alpha = u32::try_from(alpha32).map_err(|_| bad("alpha", "out of range"))?;
+        // The exploration allocates one entry per partition bound up to
+        // `N_min^u + γ`; η never exceeds the task count, so a larger γ adds
+        // no bound worth exploring, only memory.
+        let tasks = graph.task_count() as u64;
+        if gamma32 > tasks {
+            return Err(bad("gamma", format!("exceeds the graph's {tasks} tasks")));
+        }
         let gamma = u32::try_from(gamma32).map_err(|_| bad("gamma", "out of range"))?;
         let backend = match get_str(params_val, "backend")?.unwrap_or("structured") {
             "structured" => Backend::Structured,
@@ -216,6 +228,9 @@ impl JobRequest {
             },
         };
         let threads = get_u64(params_val, "threads")?.unwrap_or(1).max(1);
+        if threads > MAX_THREADS {
+            return Err(bad("threads", format!("exceeds the ceiling of {MAX_THREADS}")));
+        }
         let threads = usize::try_from(threads).map_err(|_| bad("threads", "out of range"))?;
         let deadline = get_u64(params_val, "deadline_ms")?.map(Duration::from_millis);
 

@@ -92,4 +92,26 @@ fn typed_errors_name_the_problem() {
         JobRequest::from_json(&"[".repeat(100_000)),
         Err(rtrd::RequestError::Json(_))
     ));
+    // γ beyond the graph's 3 tasks would only allocate partition bounds no
+    // solution can use (4 billion of them at u32::MAX); threads beyond the
+    // ceiling would be spawned up front. Neither parses, so neither runs.
+    let with_params = |params: &str| {
+        JobRequest::from_json(&format!(
+            "{{\"graph\":\"{escaped}\",\"arch\":{{\"rmax\":150,\"ct_ns\":1.0}},\
+             \"params\":{{{params}}}}}"
+        ))
+    };
+    for (params, field) in [
+        ("\"gamma\":4294967295", "gamma"),
+        ("\"gamma\":4", "gamma"),
+        ("\"threads\":65", "threads"),
+        ("\"threads\":18446744073709551615", "threads"),
+    ] {
+        match with_params(params) {
+            Err(rtrd::RequestError::BadField { field: f, .. }) => assert_eq!(f, field, "{params}"),
+            other => panic!("{params}: expected a bad `{field}`, got {other:?}"),
+        }
+    }
+    let at_limits = with_params("\"gamma\":3,\"threads\":64").expect("limits are inclusive");
+    assert_eq!((at_limits.params.gamma, at_limits.threads), (3, 64));
 }

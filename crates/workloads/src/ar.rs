@@ -14,7 +14,7 @@
 //! the design-point counts are capped to the paper's 3/1/2/2/1/1. What the
 //! paper *claims* about this case study — that the iterative procedure's
 //! final latency equals the optimal ILP latency — is reproduced by
-//! `table1_ar` in `rtr-bench` regardless of the exact values.
+//! `reproduce table1` in `rtr-bench` regardless of the exact values.
 
 use rtr_graph::{GraphError, TaskGraph, TaskGraphBuilder};
 use rtr_hls::{synthesize_task, BehavioralTask, EstimatorOptions, FuLibrary, HlsError, OpKind};

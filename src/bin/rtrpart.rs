@@ -55,9 +55,12 @@ OPTIONS (partition / bounds / simulate):
                           CPU count) [default: 1]. One global work-stealing
                           pool schedules candidate windows and each window's
                           structured subtrees under a single thread budget;
-                          results are identical at any count
+                          results are identical at any count unless a window
+                          ends on its budget, which is best-effort above one
+                          thread (see the determinism envelope in DESIGN.md)
     --csv <file>          write the refinement log as CSV (timing-free; byte-
-                          identical across runs and thread counts)
+                          identical across runs, and across thread counts
+                          unless a window ends on its budget)
     --timed-csv <file>    refinement log CSV with wall-clock columns
     --checkpoint <file>   stream completed solve windows into a versioned
                           JSON checkpoint (atomic temp-file + rename writes)
