@@ -4,11 +4,21 @@
 //!
 //! prints the body of `results/<artifact>.txt` on stdout and the run's
 //! wall-clock readings (per-window solve times, elapsed times) on stderr.
-//! Every artifact runs on one thread under node budgets only, so its body
-//! is the same on every host and every run; CI diffs it against
-//! `results/`. Without an argument the binary lists the artifacts.
+//! Every artifact runs under node budgets only, so its body is the same on
+//! every host and every run; CI diffs it against `results/`. Without an
+//! argument the binary lists the artifacts.
+//!
+//! Every body is made at one thread but one: `smoke`'s pool fixture runs
+//! the AR filter on a pool pinned at 2 threads on both layers. It is still
+//! deterministic because each of its windows is decided well inside its
+//! node budget, so every verdict and the best D_a are exact facts, and the
+//! pool's job and batch totals follow from the instance and the pinned
+//! thread count alone. Its node counters depend on when a worker sees the
+//! shared incumbent, so the fixture does not print them.
 
-use rtr_bench::{node_budget_params, per_solve_limits, DctExperiment, TABLE_NODE_LIMIT};
+use rtr_bench::{
+    node_budget_params, per_solve_limits, window_counts, DctExperiment, TABLE_NODE_LIMIT,
+};
 use rtr_core::baseline::suggest_relaxations;
 use rtr_core::model::{IlpModel, ModelOptions};
 use rtr_core::optimal::{solve_optimal, OptimalOutcome};
@@ -19,6 +29,7 @@ use rtr_core::{
 use rtr_graph::{Area, Latency, TaskGraph};
 use rtr_milp::SolveOptions;
 use rtr_sim::{simulate, simulate_with, SimOptions};
+use rtr_trace::Instrument;
 use rtr_workloads::dct::{dct_4x4, dct_nxn};
 use rtr_workloads::random::{random_layered, RandomGraphParams};
 use std::time::Instant;
@@ -27,7 +38,7 @@ use std::time::Instant;
 const SWEEP_NODE_LIMIT: u64 = 10_000_000;
 
 /// Every artifact, named after its `results/<artifact>.txt` file.
-const ARTIFACTS: [(&str, fn()); 15] = [
+const ARTIFACTS: [(&str, fn()); 16] = [
     ("table1", table1),
     ("table2", table2),
     ("table3", || dct_table(3)),
@@ -43,6 +54,7 @@ const ARTIFACTS: [(&str, fn()); 15] = [
     ("scaling_dct", scaling_dct),
     ("prefetch_speedup", prefetch_speedup),
     ("workload_gallery", workload_gallery),
+    ("smoke", smoke),
 ];
 
 fn main() {
@@ -478,4 +490,110 @@ fn workload_gallery() {
     }
     println!("\nslow-reconfiguration devices (5 ms) pin η at the packing minimum; the");
     println!("fast regime trades extra configurations for faster design points.");
+}
+
+/// The smoke fixtures: small runs whose every exact counter is printed, so
+/// a change that moves any of them shows in `results/smoke.txt`. Three
+/// explorations (the AR filter and a relaxed DCT at one thread, the AR
+/// filter again on a 2-thread pool) and one scripted `rtrd` solve-cache
+/// sequence. Node rates go to stderr.
+fn smoke() {
+    println!("Smoke fixtures: window counts, best D_a and exact counters");
+
+    // AR filter on a device holding half the total minimum area: exercises
+    // infeasible windows, latency/area pruning, and the dominance memo.
+    let ar = rtr_workloads::ar::ar_filter().expect("static construction");
+    let r_max = ar.total_min_area().units() / 2;
+    let arch = Architecture::new(Area::new(r_max), 64, Latency::from_us(1.0));
+    let ar_params = node_budget_params(50.0, 1, TABLE_NODE_LIMIT);
+    println!("\nar: AR filter, R_max = {r_max}, C_T = 1 µs, δ = 50 ns, γ = 1, 1 thread");
+    let ex = explore(&ar, &arch, ar_params.clone(), "ar");
+    print_exploration("ar.", &ex);
+
+    // Relaxed DCT: two windows are decided and three end on the node
+    // budget, which stops the search after the same nodes on every host.
+    let exp = DctExperiment {
+        table: 0,
+        r_max: 1024,
+        ct: Latency::from_us(1.0),
+        delta_ns: 2_000.0,
+        alpha: 0,
+        gamma: 0,
+    };
+    println!("\ndct: 4x4 DCT, R_max = 1024, C_T = 1 µs, δ = 2000 ns, γ = 0, 1 thread");
+    let ex = explore(&dct_4x4(), &exp.architecture(), exp.params(), "dct");
+    print_exploration("dct.", &ex);
+
+    // The AR filter on the unified pool, 2 threads on both layers: window
+    // outcomes and the pool's totals only (see the module docs).
+    println!("\nsched: the ar fixture on a 2-thread pool, both layers");
+    let params = ExploreParams { solver_threads: 2, ..ar_params };
+    let partitioner = TemporalPartitioner::new(&ar, &arch, params).expect("AR tasks fit");
+    let board = rtr_trace::status::board();
+    let before = board.snapshot();
+    let ex = partitioner.explore_parallel(2).expect("exploration runs");
+    let after = board.snapshot();
+    print_windows("sched.", &ex);
+    print_value("sched.jobs", after.sched_jobs - before.sched_jobs);
+    print_value("sched.batches", after.sched_batches - before.sched_batches);
+    print_value("sched.nested_batches", after.sched_nested_batches - before.sched_nested_batches);
+    print_value("sched.lost_jobs", after.sched_lost_jobs - before.sched_lost_jobs);
+
+    // The rtrd solve cache under one scripted sequence against a scratch
+    // directory: miss, store, hit, corrupt, evict, miss. Each counter is a
+    // fact of the cache's verify-and-quarantine logic.
+    println!("\nrtrd: solve cache, miss -> store -> hit -> corrupt -> evict -> miss");
+    let cache_dir = std::env::temp_dir().join(format!("rtrd_smoke_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let cache = rtrd::SolveCache::open(&cache_dir).expect("open scratch cache");
+    let checkpoint = rtr_core::Checkpoint {
+        version: rtr_core::checkpoint::CHECKPOINT_VERSION,
+        fingerprint: 0x51,
+        records: Vec::new(),
+    };
+    let before = board.snapshot();
+    assert!(matches!(cache.load(0x51), rtrd::Lookup::Miss), "cold cache must miss");
+    assert!(cache.store(0x51, &checkpoint), "store must succeed");
+    assert!(matches!(cache.load(0x51), rtrd::Lookup::Hit(_)), "stored entry must hit");
+    let entry = cache.dir().join(format!("{:016x}.rtrc", 0x51u64));
+    let mut bytes = std::fs::read(&entry).expect("entry exists");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&entry, &bytes).expect("corrupt entry");
+    assert!(
+        matches!(cache.load(0x51), rtrd::Lookup::Evicted),
+        "corrupt entry must be quarantined, never served"
+    );
+    assert!(matches!(cache.load(0x51), rtrd::Lookup::Miss), "quarantined entry is gone");
+    let after = board.snapshot();
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    print_value("rtrd.cache.hits", after.rtrd_cache_hits - before.rtrd_cache_hits);
+    print_value("rtrd.cache.misses", after.rtrd_cache_misses - before.rtrd_cache_misses);
+    print_value("rtrd.cache.evictions", after.rtrd_cache_evictions - before.rtrd_cache_evictions);
+}
+
+/// One `key value` line of the smoke body.
+fn print_value(key: &str, value: impl std::fmt::Display) {
+    println!("{key:<34} {value:>12}");
+}
+
+/// An exploration's window counts by outcome and its best D_a.
+fn print_windows(prefix: &str, ex: &Exploration) {
+    for (name, value) in window_counts(ex) {
+        print_value(&format!("{prefix}{name}"), value);
+    }
+    let best = ex.best_latency.map_or_else(|| "-".to_owned(), |l| format!("{:.1}", l.as_ns()));
+    print_value(&format!("{prefix}best_latency_ns"), best);
+}
+
+/// [`print_windows`] plus every structured-search counter, with the node
+/// rate over the structured windows' wall time on stderr.
+fn print_exploration(prefix: &str, ex: &Exploration) {
+    print_windows(prefix, ex);
+    let totals = ex.structured_totals();
+    for (name, value) in totals.counters() {
+        print_value(&format!("{prefix}structured.{name}"), value);
+    }
+    let secs: f64 = ex.records.iter().map(|r| r.elapsed.as_secs_f64()).sum();
+    eprintln!("{prefix}structured.nodes_per_sec: {:.0}", totals.nodes as f64 / secs);
 }

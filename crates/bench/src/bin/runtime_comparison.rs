@@ -8,22 +8,23 @@
 //!
 //! `cargo run --release -p rtr-bench --bin runtime_comparison` runs the
 //! committed deterministic-budget mode (structured windows under node
-//! budgets, exact-engine runs under pivot budgets); pass `--deadline` to
-//! restore the historical wall-clock per-solve deadlines (whose solve
-//! traces depend on machine speed).
+//! budgets, exact-engine runs under pivot budgets) and writes
+//! `BENCH_solver.json`. `--deadline` restores the historical wall-clock
+//! per-solve deadlines, whose solve traces depend on machine speed, and
+//! writes `BENCH_solver_deadline.json` instead.
 
 use rtr_bench::{BenchRun, DctExperiment};
 use rtr_core::model::{IlpModel, ModelOptions};
 use rtr_core::structured::StructuredSolver;
-use rtr_core::{Architecture, Exploration, IterationResult, SearchGoal, TemporalPartitioner};
-use rtr_graph::{Latency, TaskGraph};
+use rtr_core::{Exploration, IterationResult, SearchGoal, TemporalPartitioner};
+use rtr_graph::Latency;
 use rtr_milp::{solve_mip, solve_mip_warm, SolveOptions, Status};
 use rtr_workloads::dct::{dct_4x4, dct_nxn};
 use std::time::Instant;
 
-/// The window-proof model options: same shape as the milp backend's
-/// default (`minimize_latency` on so `Status::Optimal` means a proven
-/// latency optimum, the redundant `d_min` cut off).
+/// The model options of the exact-engine runs: same shape as the milp
+/// backend's default (`minimize_latency` on so `Status::Optimal` means a
+/// proven latency optimum, the redundant `d_min` cut off).
 fn proof_options() -> ModelOptions {
     ModelOptions { minimize_latency: true, include_dmin_cut: false, ..Default::default() }
 }
@@ -47,43 +48,19 @@ fn ilp_pivot_budget(r_max: u64) -> usize {
     }
 }
 
-/// Deterministic pivot budget for each *window audit* solve. Smaller than
-/// the full-size budgets: the audit faces every undecided window (17 on
-/// the R_max = 576 device), so its per-window rope is what keeps the
-/// committed bench run in the minutes.
-fn audit_pivot_budget(r_max: u64) -> usize {
-    if r_max == 576 {
-        8_000
-    } else {
-        60_000
-    }
-}
-
-/// Audits every window the structured budget left undecided
-/// (`IterationResult::LimitReached`), in two stages. Stage 1 is witness
-/// propagation: a feasible assignment recorded by *any other* window of
-/// the same exploration already decides an undecided window when it fits
-/// the partition cap (`eta <= N`) and the latency window (`D_a <=
-/// d_max`) — the subdivision solves every window from scratch, so a
-/// later iteration's solution can retroactively witness an earlier
-/// window the per-window node budget gave up on. Stage 2 attacks the
-/// rest with the exact MILP engine — cutting planes, devex pricing,
-/// pseudo-cost branching — under the deterministic per-device
-/// [`audit_pivot_budget`]. Decided verdicts are patched into a copy of
-/// the exploration (so the recorded `limit_windows` counts only what no
-/// engine could decide), per-window `witnessed` or
-/// `ilp.gap_ppm`/`ilp.nodes` columns and the `ilp_proved_windows`
-/// counter are recorded, and the patched exploration is returned.
-fn audit_limit_windows(
-    graph: &TaskGraph,
-    arch: &Architecture,
-    ex: &Exploration,
-    prefix: &str,
-    pivot_budget: usize,
-    bench: &mut BenchRun,
-) -> Exploration {
-    let options = proof_options();
-    let solve = SolveOptions::optimal().with_pivot_limit(pivot_budget);
+/// Witness propagation over every window the structured budget left
+/// undecided (`IterationResult::LimitReached`): a feasible assignment
+/// recorded by *any other* window of the same exploration already decides
+/// an undecided window when it fits the partition cap (`eta <= N`) and the
+/// latency window (`D_a <= d_max`). The subdivision solves every window
+/// from scratch, so a later iteration's solution can retroactively witness
+/// an earlier window the per-window node budget gave up on. Decided
+/// verdicts are patched into a copy of the exploration (so the recorded
+/// `limit_windows` counts only what stays undecided), each witnessed
+/// window is recorded as a `window_n<N>_i<I>.witnessed` counter and their
+/// number under the historical key `ilp_proved_windows`, and the patched
+/// exploration is returned.
+fn witness_limit_windows(ex: &Exploration, prefix: &str, bench: &mut BenchRun) -> Exploration {
     let witnesses: Vec<(Latency, u32)> = ex
         .records
         .iter()
@@ -98,46 +75,20 @@ fn audit_limit_windows(
         if !matches!(r.result, IterationResult::LimitReached) {
             continue;
         }
-        let wkey = format!("{prefix}window_n{}_i{}.", r.n, r.iteration);
-        if let Some(&(latency, eta)) =
+        let Some(&(latency, eta)) =
             witnesses.iter().find(|&&(l, e)| e <= r.n && l.as_ns() <= r.d_max.as_ns())
-        {
-            r.result = IterationResult::Feasible { latency, eta };
-            proved += 1;
-            bench.counter(format!("{wkey}witnessed"), 1);
-            println!(
-                "  audit of limit window N = {} I = {}: witnessed feasible by the \
-                 exploration's own D_a = {:.0} ns, η = {eta} solution",
-                r.n,
-                r.iteration,
-                latency.as_ns()
-            );
+        else {
             continue;
-        }
-        let ilp = IlpModel::build(graph, arch, r.n, r.d_max, r.d_min, &options)
-            .expect("table windows stay under the path limits");
-        let out = ilp.model().solve(&solve).expect("window model solves");
-        bench.counter(format!("{wkey}ilp.gap_ppm"), out.stats.gap_ppm as u64);
-        bench.counter(format!("{wkey}ilp.nodes"), out.stats.nodes as u64);
-        let verdict = match (out.status, &out.solution) {
-            (Status::Optimal | Status::Feasible, Some(sol)) => {
-                let decoded = ilp.decode(sol).compacted(r.n);
-                let latency = decoded.total_latency(graph, arch);
-                let eta = decoded.partitions_used();
-                r.result = IterationResult::Feasible { latency, eta };
-                proved += 1;
-                format!("feasible, D_a = {:.0} ns over η = {eta}", latency.as_ns())
-            }
-            (Status::Infeasible, _) => {
-                r.result = IterationResult::Infeasible;
-                proved += 1;
-                "proved infeasible".to_owned()
-            }
-            _ => format!("still undecided (gap {} ppm)", out.stats.gap_ppm),
         };
+        r.result = IterationResult::Feasible { latency, eta };
+        proved += 1;
+        bench.counter(format!("{prefix}window_n{}_i{}.witnessed", r.n, r.iteration), 1);
         println!(
-            "  ILP audit of limit window N = {} I = {}: {} ({} nodes, {} cuts)",
-            r.n, r.iteration, verdict, out.stats.nodes, out.stats.cuts_generated
+            "  audit of limit window N = {} I = {}: witnessed feasible by the \
+             exploration's own D_a = {:.0} ns, η = {eta} solution",
+            r.n,
+            r.iteration,
+            latency.as_ns()
         );
     }
     bench.counter(format!("{prefix}ilp_proved_windows"), proved);
@@ -147,7 +98,7 @@ fn audit_limit_windows(
 fn main() {
     let deadline_mode = std::env::args().skip(1).any(|a| a == "--deadline");
     let graph = dct_4x4();
-    let mut bench = BenchRun::new("solver");
+    let mut bench = BenchRun::new(if deadline_mode { "solver_deadline" } else { "solver" });
     // Context for the parallel columns: with a single host core the workers
     // time-slice and the speedup sits near (or below) 1.0 by construction.
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -177,25 +128,8 @@ fn main() {
             iterative_time
         );
         let prefix = format!("rmax{}.", exp.r_max);
-        if deadline_mode {
-            // Wall-clock deadlines make every solve outcome (and therefore
-            // best_latency_ns, node counts, window verdicts) depend on
-            // machine speed: tag them so rtr-bench-diff skips them.
-            bench.record_exploration_deadline(&prefix, &exploration);
-        } else {
-            // Deterministic mode: give the exact engine a shot at every
-            // window the structured budget could not decide before the
-            // window summary is recorded.
-            let audited = audit_limit_windows(
-                &graph,
-                &arch,
-                &exploration,
-                &prefix,
-                audit_pivot_budget(exp.r_max),
-                &mut bench,
-            );
-            bench.record_exploration(&prefix, &audited);
-        }
+        let audited = witness_limit_windows(&exploration, &prefix, &mut bench);
+        bench.record_exploration(&prefix, &audited);
         bench.metric(format!("{prefix}iterative_ms"), iterative_time.as_secs_f64() * 1e3);
 
         // The same exploration fanned out on 4 worker threads: the relaxed
@@ -279,24 +213,23 @@ fn main() {
         }
 
         // Optimality run on the faithful ILP with the same budget: the
-        // deterministic mode matches the structured windows' 40 M-node
-        // budget; `--deadline` restores the historical "same wall-clock as
-        // the iterative procedure" handicap, whose outcome depends on
-        // machine speed and is therefore tagged for the diff gate.
+        // deterministic mode runs under a per-device pivot budget;
+        // `--deadline` restores the historical "same wall-clock as the
+        // iterative procedure" handicap, whose outcome depends on machine
+        // speed.
         let n = exploration.best.as_ref().expect("feasible").partitions_used();
         let d_max = rtr_core::max_latency(&graph, &arch, n);
         let options = proof_options();
         let ilp = IlpModel::build(&graph, &arch, n, d_max, Latency::ZERO, &options)
             .expect("model builds");
-        let (solve, tag, budget_text) = if deadline_mode {
+        let (solve, budget_text) = if deadline_mode {
             (
                 SolveOptions::optimal().with_time_limit(iterative_time),
-                "_deadline_dependent",
                 format!("{iterative_time:.2?}"),
             )
         } else {
             let pivots = ilp_pivot_budget(exp.r_max);
-            (SolveOptions::optimal().with_pivot_limit(pivots), "", format!("{pivots} pivots"))
+            (SolveOptions::optimal().with_pivot_limit(pivots), format!("{pivots} pivots"))
         };
         println!(
             "  ILP-to-optimality at N = {n}: {} variables, {} constraints, budget {budget_text}",
@@ -320,9 +253,9 @@ fn main() {
                     out.stats.cuts_generated,
                     out.stats.gap_ppm
                 );
-                bench.record_counters(&format!("{prefix}ilp."), &out.stats, tag);
+                bench.record_counters(&format!("{prefix}ilp."), &out.stats);
                 bench.counter(
-                    format!("{prefix}ilp.found_feasible{tag}"),
+                    format!("{prefix}ilp.found_feasible"),
                     u64::from(out.status.has_solution()),
                 );
             }

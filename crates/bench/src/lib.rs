@@ -1,8 +1,9 @@
 //! Shared experiment harness for the evaluation binaries.
 //!
-//! `reproduce <artifact>` regenerates each committed `results/` table;
-//! the paper's DCT configurations and the per-window budgets live here so
-//! `runtime_comparison` and `bench_smoke` run the same setups. See
+//! `reproduce <artifact>` regenerates each committed `results/` table, the
+//! `smoke` counter fixtures included; `runtime_comparison` writes
+//! `BENCH_solver.json`. The paper's DCT configurations and the per-window
+//! budgets live here so both binaries run the same setups. See
 //! `DESIGN.md` (per-experiment index) and `EXPERIMENTS.md`
 //! (paper-vs-measured record) at the repository root.
 
@@ -15,8 +16,6 @@ use rtr_trace::{write_value, Escaped, Instrument, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
-
-pub mod diff;
 
 /// Configuration of one DCT experiment (one paper table).
 #[derive(Debug, Clone, Copy)]
@@ -119,7 +118,21 @@ pub fn per_solve_limits_deadline() -> SearchLimits {
     SearchLimits { node_limit: TABLE_NODE_LIMIT, time_limit: Some(Duration::from_secs(5)) }
 }
 
-/// A machine-readable summary of one bench binary's run, written as
+/// An exploration's `SolveModel()` calls by outcome: `solves`, then
+/// `feasible_windows`, `infeasible_windows` and `limit_windows`.
+pub fn window_counts(ex: &Exploration) -> [(&'static str, u64); 4] {
+    let count = |outcome: fn(&IterationResult) -> bool| {
+        ex.records.iter().filter(|r| outcome(&r.result)).count() as u64
+    };
+    [
+        ("solves", ex.records.len() as u64),
+        ("feasible_windows", count(|r| matches!(r, IterationResult::Feasible { .. }))),
+        ("infeasible_windows", count(|r| matches!(r, IterationResult::Infeasible))),
+        ("limit_windows", count(|r| matches!(r, IterationResult::LimitReached))),
+    ]
+}
+
+/// A machine-readable summary of a `runtime_comparison` run, written as
 /// `BENCH_<name>.json` next to where the binary was invoked. Keys are kept
 /// in sorted order so re-runs diff cleanly.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -153,51 +166,15 @@ impl BenchRun {
     /// (e.g. `prefix = "table3."`): solve counts by outcome, the best
     /// latency, and the backend solver totals.
     pub fn record_exploration(&mut self, prefix: &str, ex: &Exploration) {
-        self.record_exploration_tagged(prefix, ex, "");
-    }
-
-    /// [`record_exploration`](Self::record_exploration) for explorations
-    /// run under wall-clock deadlines: every key is tagged with the
-    /// `_deadline_dependent` suffix so the regression gate
-    /// ([`diff`]) knows these values depend on machine speed and skips
-    /// them. Selected by `runtime_comparison --deadline`.
-    pub fn record_exploration_deadline(&mut self, prefix: &str, ex: &Exploration) {
-        self.record_exploration_tagged(prefix, ex, "_deadline_dependent");
-    }
-
-    /// Records only the schedule-independent window summary of an
-    /// exploration — solve counts by outcome and the best latency — for
-    /// runs whose *node* counters are legitimately scheduling-dependent
-    /// (parallel incumbent sharing) and must stay out of the counter gate.
-    pub fn record_windows(&mut self, prefix: &str, ex: &Exploration) {
-        self.record_windows_tagged(prefix, ex, "");
-    }
-
-    fn record_windows_tagged(&mut self, prefix: &str, ex: &Exploration, tag: &str) {
-        let mut feasible = 0u64;
-        let mut infeasible = 0u64;
-        let mut limit = 0u64;
-        for r in &ex.records {
-            match r.result {
-                IterationResult::Feasible { .. } => feasible += 1,
-                IterationResult::Infeasible => infeasible += 1,
-                IterationResult::LimitReached => limit += 1,
-            }
+        for (name, value) in window_counts(ex) {
+            self.counter(format!("{prefix}{name}"), value);
         }
-        self.counter(format!("{prefix}solves{tag}"), ex.records.len() as u64);
-        self.counter(format!("{prefix}feasible_windows{tag}"), feasible);
-        self.counter(format!("{prefix}infeasible_windows{tag}"), infeasible);
-        self.counter(format!("{prefix}limit_windows{tag}"), limit);
         if let Some(latency) = ex.best_latency {
-            self.metric(format!("{prefix}best_latency_ns{tag}"), latency.as_ns());
+            self.metric(format!("{prefix}best_latency_ns"), latency.as_ns());
         }
-    }
-
-    fn record_exploration_tagged(&mut self, prefix: &str, ex: &Exploration, tag: &str) {
-        self.record_windows_tagged(prefix, ex, tag);
         let st = ex.structured_totals();
         if st.nodes > 0 {
-            self.record_counters(&format!("{prefix}structured."), &st, tag);
+            self.record_counters(&format!("{prefix}structured."), &st);
             // Search throughput: nodes over the wall-clock of the windows
             // that actually ran the structured solver.
             let solve_secs: f64 = ex
@@ -208,23 +185,23 @@ impl BenchRun {
                 .sum();
             if solve_secs > 0.0 {
                 self.metric(
-                    format!("{prefix}structured.nodes_per_sec{tag}"),
+                    format!("{prefix}structured.nodes_per_sec"),
                     st.nodes as f64 / solve_secs,
                 );
             }
         }
         let mt = ex.milp_totals();
         if mt.nodes > 0 {
-            self.record_counters(&format!("{prefix}milp."), &mt, tag);
-            self.metric(format!("{prefix}milp.lp_time_us{tag}"), mt.lp_time.as_micros() as f64);
+            self.record_counters(&format!("{prefix}milp."), &mt);
+            self.metric(format!("{prefix}milp.lp_time_us"), mt.lp_time.as_micros() as f64);
         }
     }
 
     /// Records every exact counter of `stats` (see [`Instrument`]) as
-    /// `{prefix}{name}{tag}`.
-    pub fn record_counters(&mut self, prefix: &str, stats: &impl Instrument, tag: &str) {
+    /// `{prefix}{name}`.
+    pub fn record_counters(&mut self, prefix: &str, stats: &impl Instrument) {
         for (name, value) in stats.counters() {
-            self.counter(format!("{prefix}{name}{tag}"), value);
+            self.counter(format!("{prefix}{name}"), value);
         }
     }
 
@@ -265,8 +242,7 @@ impl BenchRun {
     }
 
     /// [`write`](Self::write), reporting the outcome on standard output /
-    /// error instead of returning it — the convenience the BENCH-writing
-    /// binaries tail-call.
+    /// error instead of returning it.
     pub fn write_and_report(&self) {
         match self.write() {
             Ok(path) => println!("\nwrote {}", path.display()),

@@ -27,6 +27,13 @@ pub enum PartitionError {
         /// The configured cap.
         cap: usize,
     },
+    /// `MaxLatency(N)` at the largest partition bound `N` the exploration
+    /// would try is not a finite number of nanoseconds: `C_T` (or the sum
+    /// of the task latencies) is so large that it overflows.
+    LatencyOverflow {
+        /// The partition bound whose latency bound overflows.
+        n: u32,
+    },
     /// The underlying MILP solver failed.
     Milp(rtr_milp::MilpError),
     /// A checkpoint could not be loaded, parsed, or replayed: missing or
@@ -51,6 +58,11 @@ impl fmt::Display for PartitionError {
                 Some(t) => write!(f, "task graph has {t} root-to-leaf paths, above the cap {cap}"),
                 None => write!(f, "task graph has more than u128 root-to-leaf paths (cap {cap})"),
             },
+            PartitionError::LatencyOverflow { n } => write!(
+                f,
+                "the latency bound at N = {n} partitions is not finite: the reconfiguration \
+                 time or the task latencies are too large"
+            ),
             PartitionError::Milp(e) => write!(f, "milp solver: {e}"),
             PartitionError::Checkpoint { detail } => write!(f, "checkpoint: {detail}"),
         }

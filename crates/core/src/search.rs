@@ -521,12 +521,15 @@ pub struct TemporalPartitioner<'g> {
 
 impl<'g> TemporalPartitioner<'g> {
     /// Creates a partitioner after checking that every task can fit the
-    /// device at all.
+    /// device at all and that every window it would explore has a finite
+    /// latency bound.
     ///
     /// # Errors
     ///
     /// Returns [`PartitionError::TaskTooLarge`] if some task's smallest
-    /// design point exceeds `R_max`.
+    /// design point exceeds `R_max`, and
+    /// [`PartitionError::LatencyOverflow`] if `MaxLatency(N)` at the
+    /// largest bound `N` the exploration would try is not finite.
     pub fn new(
         graph: &'g TaskGraph,
         arch: &'g Architecture,
@@ -545,7 +548,20 @@ impl<'g> TemporalPartitioner<'g> {
         // same flag as the phase loops, so a single `cancel()` reaches
         // every layer.
         params.milp_options.cancel = params.cancel.clone();
-        Ok(TemporalPartitioner { graph, arch, params })
+        let partitioner = TemporalPartitioner { graph, arch, params };
+        let n_cap = partitioner.n_cap();
+        if !max_latency(graph, arch, n_cap).as_ns().is_finite() {
+            return Err(PartitionError::LatencyOverflow { n: n_cap });
+        }
+        Ok(partitioner)
+    }
+
+    /// The largest partition bound the exploration tries:
+    /// `max(N_min^u, N_min^l) + γ`.
+    fn n_cap(&self) -> u32 {
+        let n_min_lower = min_area_partitions(self.graph, self.arch);
+        let n_min_upper = max_area_partitions(self.graph, self.arch);
+        n_min_upper.max(n_min_lower).saturating_add(self.params.gamma)
     }
 
     /// The task graph being partitioned.
@@ -1176,7 +1192,7 @@ impl<'g> TemporalPartitioner<'g> {
         }
         let n_min_lower = min_area_partitions(self.graph, self.arch);
         let n_min_upper = max_area_partitions(self.graph, self.arch);
-        let n_cap = n_min_upper.max(n_min_lower).saturating_add(self.params.gamma);
+        let n_cap = self.n_cap();
         let started = Instant::now();
 
         let mut records = Vec::new();
@@ -1609,6 +1625,21 @@ mod tests {
         // Phase 2 must stop early: MinLatency(3) > achieved.
         let relaxed: Vec<_> = ex.records_for(3).collect();
         assert!(relaxed.is_empty(), "no N=3 solve should run: {relaxed:?}");
+    }
+
+    #[test]
+    fn reconfiguration_time_that_overflows_is_a_typed_error() {
+        // chain3 needs two partitions on this device, and with γ = 0 the
+        // exploration tries up to N_min^u = 3: 3 × 1e308 ns is not finite.
+        let g = chain3();
+        let params = ExploreParams { gamma: 0, ..Default::default() };
+        let arch = Architecture::new(Area::new(100), 64, Latency::from_ns(1e308));
+        let err = TemporalPartitioner::new(&g, &arch, params.clone()).unwrap_err();
+        assert_eq!(err, PartitionError::LatencyOverflow { n: 3 });
+        assert!(err.to_string().contains("N = 3"), "{err}");
+        // 3 × 1e307 ns is finite, so the same device is accepted.
+        let arch = Architecture::new(Area::new(100), 64, Latency::from_ns(1e307));
+        assert!(TemporalPartitioner::new(&g, &arch, params).is_ok());
     }
 
     #[test]

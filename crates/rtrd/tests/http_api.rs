@@ -235,6 +235,12 @@ fn client_errors_are_typed_not_fatal() {
     let invalid = http(addr, "POST", "/v1/jobs", &body);
     assert_eq!(invalid.status, 400, "invalid instance must be a client error: {}", invalid.body);
 
+    // A reconfiguration time whose latency bound overflows to infinity: the
+    // tiny graph needs two partitions, and 2 × 1e308 ns is not finite.
+    let body = job_json(&tiny_graph_text(0), 1000, "").replace("ct_ns\":1000.0", "ct_ns\":1e308");
+    let overflow = http(addr, "POST", "/v1/jobs", &body);
+    assert_eq!(overflow.status, 400, "an overflowing C_T is a client error: {}", overflow.body);
+
     // The server survives all of the above and still solves.
     let submit = http(addr, "POST", "/v1/jobs", &job_json(&tiny_graph_text(0), 200_000, ""));
     assert_eq!(submit.status, 202);

@@ -7,7 +7,8 @@
 //! escaping ([`Escaped`], [`write_string`]) and field values
 //! ([`write_value`]). Trace JSONL, checkpoints and `rtrd` solve-cache
 //! entries, `rtrd` requests and responses, heartbeat lines, Perfetto
-//! exports and BENCH files all go through this module.
+//! exports and `BENCH_solver.json` all go through this module (BENCH files
+//! are only written; nothing in the workspace reads them back).
 //!
 //! The reader takes network input (`rtrd` submit bodies), so two guards
 //! keep it total: nesting deeper than [`MAX_DEPTH`] levels is an error
@@ -119,8 +120,8 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// A parsed JSON value: what [`parse_value`] returns, so every consumer
-/// (trace JSONL, checkpoints, `rtrd` requests, the bench-diff gate,
-/// heartbeat readers) decodes from one parser.
+/// (trace JSONL, checkpoints, `rtrd` requests, heartbeat readers) decodes
+/// from one parser.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.

@@ -175,13 +175,17 @@ fn parse_time(s: &str) -> Result<Latency, String> {
     if !value.is_finite() || value < 0.0 {
         return Err(format!("time `{s}` must be finite and non-negative"));
     }
-    match unit {
-        "ns" => Ok(Latency::from_ns(value)),
-        "us" | "µs" => Ok(Latency::from_us(value)),
-        "ms" => Ok(Latency::from_ms(value)),
-        "s" => Ok(Latency::from_ms(value * 1e3)),
-        other => Err(format!("unknown time unit `{other}`")),
+    let ns = match unit {
+        "ns" => value,
+        "us" | "µs" => value * 1e3,
+        "ms" => value * 1e6,
+        "s" => value * 1e3 * 1e6,
+        other => return Err(format!("unknown time unit `{other}`")),
+    };
+    if !ns.is_finite() {
+        return Err(format!("time `{s}` is too large to represent in nanoseconds"));
     }
+    Ok(Latency::from_ns(ns))
 }
 
 fn load_graph(opts: &Options) -> Result<TaskGraph, String> {
@@ -520,6 +524,8 @@ mod tests {
         assert!(parse_time("xns").is_err());
         assert!(parse_time("5weeks").is_err());
         assert!(parse_time("-1ms").is_err());
+        // Finite as a number of seconds, infinite in nanoseconds.
+        assert!(parse_time(&format!("1{}s", "0".repeat(300))).is_err());
     }
 
     #[test]
