@@ -1,6 +1,6 @@
 //! The `reproduce` binary's contract with `results/`: one artifact per
-//! committed table (`runtime_comparison.txt` has its own binary), and an
-//! artifact's stdout is its committed file byte for byte. Table 2 solves
+//! committed table, and an artifact's stdout is its committed file byte
+//! for byte. Table 2 solves
 //! nothing, so this holds in a debug build and under fault injection; CI's
 //! `reproduce` job diffs the other artifacts in release.
 
@@ -29,7 +29,6 @@ fn artifacts_are_the_committed_results() {
         .map(|entry| entry.expect("readable entry").path())
         .filter(|path| path.extension().is_some_and(|ext| ext == "txt"))
         .map(|path| path.file_stem().expect("named file").to_string_lossy().into_owned())
-        .filter(|stem| stem != "runtime_comparison")
         .collect();
     stems.sort_unstable();
     assert_eq!(artifacts, stems);

@@ -657,11 +657,7 @@ impl<'g> TemporalPartitioner<'g> {
                             solver = solver.with_hint(hint.placements().to_vec());
                         }
                     }
-                    let (run_outcome, run_stats) = if self.params.solver_threads == 1 {
-                        solver.run()
-                    } else {
-                        solver.run_parallel(self.params.solver_threads)
-                    };
+                    let (run_outcome, run_stats) = solver.run_parallel(self.params.solver_threads);
                     outcome = run_outcome;
                     stats.absorb(&run_stats);
                     if !matches!(outcome, SearchOutcome::LimitReached) {
@@ -1025,18 +1021,8 @@ impl<'g> TemporalPartitioner<'g> {
         degradation: &mut Degradation,
     ) -> Result<(u32, Option<(Solution, Latency)>), PartitionError> {
         let mut n = n_start;
-        let mut best = self.reduce_latency_ctx(
-            n,
-            max_latency(self.graph, self.arch, n),
-            min_latency(self.graph, self.arch, n),
-            records,
-            observer,
-            ctx,
-            degradation,
-        )?;
-        while best.is_none() && n < n_cap && !self.expired(started) {
-            n += 1;
-            best = self.reduce_latency_ctx(
+        loop {
+            let best = self.reduce_latency_ctx(
                 n,
                 max_latency(self.graph, self.arch, n),
                 min_latency(self.graph, self.arch, n),
@@ -1045,8 +1031,11 @@ impl<'g> TemporalPartitioner<'g> {
                 ctx,
                 degradation,
             )?;
+            if best.is_some() || n >= n_cap || self.expired(started) {
+                return Ok((n, best));
+            }
+            n += 1;
         }
-        Ok((n, best))
     }
 
     /// Evaluates one phase-2 candidate bound with candidate-level panic

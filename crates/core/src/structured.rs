@@ -960,6 +960,13 @@ impl<'g> StructuredSolver<'g> {
 
     /// Runs the search.
     pub fn run(&self) -> (SearchOutcome, SearchStats) {
+        self.search(1)
+    }
+
+    /// The search on `threads` participants: the admissibility check and
+    /// the greedy seed, then the DFS on the calling thread (one
+    /// participant, or a graph too small to split) or on a pool.
+    fn search(&self, threads: usize) -> (SearchOutcome, SearchStats) {
         // A task none of whose design points fits the device can never be
         // placed.
         if !self.admissible() {
@@ -972,17 +979,32 @@ impl<'g> StructuredSolver<'g> {
             }
         }
         let seed = seed.map(|(total, sol)| (total, sol.placements().to_vec()));
-        let mut st = self.fresh_state(seed, Instant::now());
+        let start = Instant::now();
+        if threads > 1 && self.graph.task_count() >= 2 {
+            return rtr_sched::Pool::with(threads, |pool| self.run_on_pool(pool, seed, start));
+        }
+        let mut st = self.fresh_state(seed, start);
         self.dfs(0, &mut st);
         publish_status(&mut st);
         let mut stats = st.stats;
         stats.exhausted = st.nodes_exhausted;
-        match st.best {
-            Some((_, placements)) => {
+        self.outcome(st.best.map(|(_, placements)| placements), stats)
+    }
+
+    /// The search's answer: the best placements found as a solution, else
+    /// `Infeasible` when the tree was exhausted and `LimitReached` when a
+    /// budget stopped it.
+    fn outcome(
+        &self,
+        best: Option<Vec<Placement>>,
+        stats: SearchStats,
+    ) -> (SearchOutcome, SearchStats) {
+        match best {
+            Some(placements) => {
                 let sol = Solution::new(placements, self.n).compacted(self.n);
                 (SearchOutcome::Feasible(sol), stats)
             }
-            None if st.nodes_exhausted => (SearchOutcome::Infeasible, stats),
+            None if stats.exhausted => (SearchOutcome::Infeasible, stats),
             None => (SearchOutcome::LimitReached, stats),
         }
     }
@@ -1543,23 +1565,7 @@ impl<'g> StructuredSolver<'g> {
     /// scheduling, so limit-hit results are best-effort (exactly like
     /// wall-clock deadlines on the sequential path).
     pub fn run_parallel(&self, threads: usize) -> (SearchOutcome, SearchStats) {
-        let threads = if threads == 0 { crate::search::default_thread_count() } else { threads };
-        let count = self.graph.task_count();
-        if threads <= 1 || count < 2 {
-            return self.run();
-        }
-        if !self.admissible() {
-            return (SearchOutcome::Infeasible, SearchStats::default());
-        }
-        let seed = self.greedy_seed();
-        if self.goal == SearchGoal::FirstFeasible {
-            if let Some((_, sol)) = seed {
-                return (SearchOutcome::Feasible(sol), SearchStats::default());
-            }
-        }
-        let seed = seed.map(|(total, sol)| (total, sol.placements().to_vec()));
-        let start = Instant::now();
-        rtr_sched::Pool::with(threads, |pool| self.run_on_pool(pool, seed, start))
+        self.search(if threads == 0 { crate::search::default_thread_count() } else { threads })
     }
 
     /// The parallel search body, scheduled on `pool` (see
@@ -1585,30 +1591,12 @@ impl<'g> StructuredSolver<'g> {
             gen.gen_depth = Some(depth);
             gen.jobs = Vec::new();
             let abort = self.dfs(0, &mut gen);
-            if abort {
-                // A node/time limit fired while only generating jobs.
-                let mut stats = gen.stats;
-                stats.exhausted = false;
-                return match gen.best {
-                    Some((_, pl)) => (
-                        SearchOutcome::Feasible(Solution::new(pl, self.n).compacted(self.n)),
-                        stats,
-                    ),
-                    None => (SearchOutcome::LimitReached, stats),
-                };
-            }
-            if gen.jobs.is_empty() {
-                // Every prefix of this depth was pruned: the tree is
-                // exhausted without ever reaching a leaf.
-                let mut stats = gen.stats;
-                stats.exhausted = true;
-                return match gen.best {
-                    Some((_, pl)) => (
-                        SearchOutcome::Feasible(Solution::new(pl, self.n).compacted(self.n)),
-                        stats,
-                    ),
-                    None => (SearchOutcome::Infeasible, stats),
-                };
+            // A node/time limit fired while only generating jobs, or every
+            // prefix of this depth was pruned: the tree is exhausted
+            // without ever reaching a leaf.
+            if abort || gen.jobs.is_empty() {
+                let stats = SearchStats { exhausted: !abort, ..gen.stats };
+                return self.outcome(gen.best.map(|(_, pl)| pl), stats);
             }
             if gen.jobs.len() > MAX_JOBS && jobs.len() > 1 {
                 // Deepening exploded; the previous, coarser frontier wins.
@@ -1847,13 +1835,7 @@ impl<'g> StructuredSolver<'g> {
             SearchGoal::FirstFeasible => first_feasible,
             SearchGoal::Optimal => best.map(|(_, pl)| pl),
         };
-        match winner {
-            Some(pl) => {
-                (SearchOutcome::Feasible(Solution::new(pl, self.n).compacted(self.n)), stats)
-            }
-            None if stats.exhausted => (SearchOutcome::Infeasible, stats),
-            None => (SearchOutcome::LimitReached, stats),
-        }
+        self.outcome(winner, stats)
     }
 }
 

@@ -247,8 +247,9 @@ impl SolveStats {
 impl rtr_trace::Instrument for SolveStats {
     /// The branch-and-bound counters (e.g. under scope `milp`:
     /// `milp.nodes`, `milp.pivots`, ...). This is the single list of MILP
-    /// statistics: the driver, the optimality runner and the BENCH files
-    /// all report through it rather than hand-copying counters.
+    /// statistics: the exploration loop, the optimality runner and the
+    /// `reproduce` bodies all report through it rather than hand-copying
+    /// counters.
     fn counters(&self) -> Vec<(Cow<'static, str>, u64)> {
         [
             ("nodes", self.nodes),
@@ -275,8 +276,8 @@ impl rtr_trace::Instrument for SolveStats {
     }
 
     /// The counters, with the LP wall time in its trace place after
-    /// `infeasible_nodes`. It is no exact counter, so BENCH files record
-    /// it as a metric instead.
+    /// `infeasible_nodes`. It is no exact counter, so `counters()`
+    /// leaves it out.
     fn emit_metrics(&self, scope: &str) {
         if !rtr_trace::enabled() {
             return;
@@ -329,6 +330,31 @@ mod tests {
         assert_eq!(o.node_limit, 5);
         assert_eq!(o.pivot_limit, 1000);
         assert_eq!(o.time_limit, Some(Duration::from_millis(10)));
+    }
+
+    /// `counters()` lists exact counts only: the LP wall time stays out of
+    /// it, and two solves of one model report the same counters.
+    #[test]
+    fn counters_are_exact_and_leave_out_the_lp_wall_time() {
+        use rtr_trace::Instrument;
+        let timed = SolveStats { lp_time: Duration::from_millis(7), ..SolveStats::default() };
+        assert_eq!(timed.counters(), SolveStats::default().counters());
+        assert!(timed.counters().iter().all(|(name, _)| name != "lp_time_us"));
+
+        let mut model = crate::Model::new();
+        let vars: Vec<_> = (0..4).map(|_| model.add_var(crate::Variable::binary())).collect();
+        let weights = [5.0, 6.0, 4.0, 3.0];
+        model.add_constraint(crate::Constraint::new(
+            vars.iter().zip(weights).map(|(&v, w)| (w, v)).collect::<crate::LinExpr>(),
+            crate::Rel::Le,
+            9.0,
+        ));
+        let values = [10.0, 13.0, 7.5, 5.0];
+        model.maximize(vars.iter().zip(values).map(|(&v, c)| (c, v)).collect::<crate::LinExpr>());
+        let solve = || crate::solve_mip(&model, &SolveOptions::optimal()).expect("solves").stats;
+        let (first, second) = (solve(), solve());
+        assert!(first.simplex_iterations > 0, "the fixture must pivot");
+        assert_eq!(first.counters(), second.counters());
     }
 
     #[test]

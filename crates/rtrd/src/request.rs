@@ -38,7 +38,29 @@ use std::time::Duration;
 
 /// The most worker threads one job may ask for: the solve's pool starts
 /// them all up front.
-const MAX_THREADS: u64 = 64;
+pub const MAX_THREADS: u64 = 64;
+
+/// Checks a worker-thread count against [`MAX_THREADS`]. The `Err` says
+/// why the count is refused. Shared by both front ends, so the daemon and
+/// the CLI refuse the same counts.
+pub fn check_threads(threads: u64) -> Result<usize, String> {
+    if threads > MAX_THREADS {
+        return Err(format!("exceeds the ceiling of {MAX_THREADS}"));
+    }
+    usize::try_from(threads).map_err(|_| "out of range".to_owned())
+}
+
+/// Checks the ending partition relaxation γ against the graph's task
+/// count. The exploration allocates one entry per partition bound up to
+/// `N_min^u + γ`; η never exceeds the task count, so a larger γ adds no
+/// bound worth exploring, only memory. The `Err` says why γ is refused.
+/// Shared by both front ends, like [`check_threads`].
+pub fn check_gamma(gamma: u64, tasks: usize) -> Result<u32, String> {
+    if gamma > tasks as u64 {
+        return Err(format!("exceeds the graph's {tasks} tasks"));
+    }
+    u32::try_from(gamma).map_err(|_| "out of range".to_owned())
+}
 
 /// One parsed, validated solve job.
 #[derive(Debug, Clone)]
@@ -198,16 +220,9 @@ impl JobRequest {
         }
         let delta = Latency::from_ns(get_f64(params_val, "delta_ns")?.unwrap_or(100.0));
         let alpha32 = get_u64(params_val, "alpha")?.unwrap_or(0);
-        let gamma32 = get_u64(params_val, "gamma")?.unwrap_or(1);
         let alpha = u32::try_from(alpha32).map_err(|_| bad("alpha", "out of range"))?;
-        // The exploration allocates one entry per partition bound up to
-        // `N_min^u + γ`; η never exceeds the task count, so a larger γ adds
-        // no bound worth exploring, only memory.
-        let tasks = graph.task_count() as u64;
-        if gamma32 > tasks {
-            return Err(bad("gamma", format!("exceeds the graph's {tasks} tasks")));
-        }
-        let gamma = u32::try_from(gamma32).map_err(|_| bad("gamma", "out of range"))?;
+        let gamma = check_gamma(get_u64(params_val, "gamma")?.unwrap_or(1), graph.task_count())
+            .map_err(|e| bad("gamma", e))?;
         let backend = match get_str(params_val, "backend")?.unwrap_or("structured") {
             "structured" => Backend::Structured,
             "milp" => Backend::Milp,
@@ -227,11 +242,8 @@ impl JobRequest {
                 )),
             },
         };
-        let threads = get_u64(params_val, "threads")?.unwrap_or(1).max(1);
-        if threads > MAX_THREADS {
-            return Err(bad("threads", format!("exceeds the ceiling of {MAX_THREADS}")));
-        }
-        let threads = usize::try_from(threads).map_err(|_| bad("threads", "out of range"))?;
+        let threads = check_threads(get_u64(params_val, "threads")?.unwrap_or(1).max(1))
+            .map_err(|e| bad("threads", e))?;
         let deadline = get_u64(params_val, "deadline_ms")?.map(Duration::from_millis);
 
         let params = ExploreParams {

@@ -202,7 +202,8 @@ impl Event {
 
 /// Types that can describe themselves as trace metrics — implemented by the
 /// solver-statistics structs across the workspace so each layer lists its
-/// counters once, for the trace stream and for BENCH JSON alike.
+/// counters once, for the trace stream and for the `reproduce` bodies
+/// alike.
 pub trait Instrument {
     /// Every exact counter — a deterministic work unit such as nodes,
     /// pivots or prunes — as `(name, value)`, in emission order.

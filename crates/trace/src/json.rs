@@ -6,9 +6,8 @@
 //! null), and the writing pieces every hand-rolled writer shares — string
 //! escaping ([`Escaped`], [`write_string`]) and field values
 //! ([`write_value`]). Trace JSONL, checkpoints and `rtrd` solve-cache
-//! entries, `rtrd` requests and responses, heartbeat lines, Perfetto
-//! exports and `BENCH_solver.json` all go through this module (BENCH files
-//! are only written; nothing in the workspace reads them back).
+//! entries, `rtrd` requests and responses, heartbeat lines and Perfetto
+//! exports all go through this module.
 //!
 //! The reader takes network input (`rtrd` submit bodies), so two guards
 //! keep it total: nesting deeper than [`MAX_DEPTH`] levels is an error

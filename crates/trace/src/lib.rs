@@ -30,7 +30,7 @@
 //!   strings through [`Escaped`]; [`write_value`] renders field values.
 //! * [`Instrument`] — implemented by solver-statistics structs across the
 //!   workspace so each layer lists its exact counters once, for the trace
-//!   stream and BENCH JSON alike.
+//!   stream and the `reproduce` bodies alike.
 //! * [`capture`] — diverts one thread's events into a buffer so parallel
 //!   drivers can re-emit per-worker streams in a deterministic order with
 //!   [`dispatch_all`] (used by the parallel partition-count exploration).

@@ -40,7 +40,8 @@ OPTIONS (partition / bounds / simulate):
     --ct <time>           reconfiguration time, e.g. 30ns, 1us, 10ms (required)
     --delta <time>        latency tolerance δ             [default: 100ns]
     --alpha <n>           starting partition relaxation α [default: 0]
-    --gamma <n>           ending partition relaxation γ   [default: 1]
+    --gamma <n>           ending partition relaxation γ, at most the
+                          graph's task count              [default: 1]
     --backend <name>      structured | milp               [default: structured]
     --cold-start          disable MILP warm starts (milp backend; results
                           are unchanged, only pivot counts grow)
@@ -51,13 +52,14 @@ OPTIONS (partition / bounds / simulate):
     --solve-nodes <n>     per-window node budget instead of a wall-clock
                           one; makes runs machine-independent and byte-
                           reproducible (used by checkpoint/resume tests)
-    --threads <n>         worker threads; 0 = auto (RTR_THREADS env var, else
-                          CPU count) [default: 1]. One global work-stealing
-                          pool schedules candidate windows and each window's
-                          structured subtrees under a single thread budget;
-                          results are identical at any count unless a window
-                          ends on its budget, which is best-effort above one
-                          thread (see the determinism envelope in DESIGN.md)
+    --threads <n>         worker threads, at most 64; 0 = auto (RTR_THREADS
+                          env var, else CPU count) [default: 1]. One global
+                          work-stealing pool schedules candidate windows and
+                          each window's structured subtrees under a single
+                          thread budget; results are identical at any count
+                          unless a window ends on its budget, which is
+                          best-effort above one thread (see the determinism
+                          envelope in DESIGN.md)
     --csv <file>          write the refinement log as CSV (timing-free; byte-
                           identical across runs, and across thread counts
                           unless a window ends on its budget)
@@ -167,11 +169,16 @@ impl<'a> Options<'a> {
 }
 
 fn parse_time(s: &str) -> Result<Latency, String> {
-    let (number, unit) = s
-        .find(|c: char| c.is_ascii_alphabetic())
-        .map(|i| s.split_at(i))
+    // The unit is a suffix, so exponent notation (`1e3ns`) parses; `s`
+    // comes last because it ends every other unit.
+    let unit = ["ns", "us", "µs", "ms", "s"]
+        .into_iter()
+        .find(|unit| s.ends_with(unit))
         .ok_or_else(|| format!("time `{s}` needs a unit (ns, us, ms, s)"))?;
-    let value: f64 = number.parse().map_err(|_| format!("invalid time value `{number}`"))?;
+    let number = &s[..s.len() - unit.len()];
+    let value: f64 = number.parse().map_err(|_| {
+        format!("invalid time `{s}`: expected a number followed by ns, us, ms or s")
+    })?;
     if !value.is_finite() || value < 0.0 {
         return Err(format!("time `{s}` must be finite and non-negative"));
     }
@@ -179,8 +186,7 @@ fn parse_time(s: &str) -> Result<Latency, String> {
         "ns" => value,
         "us" | "µs" => value * 1e3,
         "ms" => value * 1e6,
-        "s" => value * 1e3 * 1e6,
-        other => return Err(format!("unknown time unit `{other}`")),
+        _ => value * 1e3 * 1e6,
     };
     if !ns.is_finite() {
         return Err(format!("time `{s}` is too large to represent in nanoseconds"));
@@ -215,7 +221,16 @@ fn load_arch(opts: &Options) -> Result<Architecture, String> {
     Ok(arch)
 }
 
-fn load_params(opts: &Options) -> Result<ExploreParams, String> {
+/// `--threads` under the service's ceiling (`rtrd::request::check_threads`):
+/// the pool starts every thread up front. `0` keeps its meaning, auto.
+fn load_threads(opts: &Options) -> Result<usize, String> {
+    rtrpart::service::request::check_threads(opts.parsed("--threads", 1)?)
+        .map_err(|e| format!("invalid value for `--threads`: {e}"))
+}
+
+/// The exploration options of a graph with `tasks` tasks; `--gamma` obeys
+/// the service's rule (`rtrd::request::check_gamma`).
+fn load_params(opts: &Options, tasks: usize) -> Result<ExploreParams, String> {
     let delta = match opts.value("--delta") {
         Some(v) => parse_time(v)?,
         None => Latency::from_ns(100.0),
@@ -253,7 +268,8 @@ fn load_params(opts: &Options) -> Result<ExploreParams, String> {
     Ok(ExploreParams {
         delta,
         alpha: opts.parsed("--alpha", 0)?,
-        gamma: opts.parsed("--gamma", 1)?,
+        gamma: rtrpart::service::request::check_gamma(opts.parsed("--gamma", 1)?, tasks)
+            .map_err(|e| format!("invalid value for `--gamma`: {e}"))?,
         backend,
         strategy,
         limits,
@@ -335,14 +351,14 @@ fn export_trace(input: &str, out: &str) -> Result<(), String> {
 fn partition_body(opts: &Options, simulate: bool) -> Result<(), String> {
     let graph = load_graph(opts)?;
     let arch = load_arch(opts)?;
-    let mut params = load_params(opts)?;
+    let mut params = load_params(opts, graph.task_count())?;
     let quiet = opts.flag("--quiet");
 
     if let Some(path) = opts.value("--dot") {
         std::fs::write(path, graph.to_dot()).map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
 
-    let threads: usize = opts.parsed("--threads", 1)?;
+    let threads = load_threads(opts)?;
     // `--threads` is the single global budget: one work-stealing pool
     // schedules phase-2 candidate windows *and* every window's structured
     // subtree jobs, so a stalled window's idle workers migrate to other
@@ -439,6 +455,10 @@ fn bounds_cmd(args: &[String]) -> Result<(), String> {
     let opts = Options { args };
     let graph = load_graph(&opts)?;
     let arch = load_arch(&opts)?;
+    // The partitioner's own checks at γ = 0, whose largest bound is the
+    // last N printed below: `bounds` refuses what `partition` refuses.
+    TemporalPartitioner::new(&graph, &arch, ExploreParams { gamma: 0, ..Default::default() })
+        .map_err(|e| format!("partitioner rejected the instance: {e}"))?;
     let n_l = rtrpart::min_area_partitions(&graph, &arch);
     let n_u = rtrpart::max_area_partitions(&graph, &arch);
     println!("{}", graph.stats());
@@ -526,6 +546,41 @@ mod tests {
         assert!(parse_time("-1ms").is_err());
         // Finite as a number of seconds, infinite in nanoseconds.
         assert!(parse_time(&format!("1{}s", "0".repeat(300))).is_err());
+        assert_eq!(parse_time("1e3ns").unwrap().as_ns(), 1000.0);
+        assert_eq!(parse_time("1.5e-3ms").unwrap().as_ns(), 1500.0);
+        assert!(parse_time("1e400ns").is_err());
+    }
+
+    #[test]
+    fn bounds_refuses_a_latency_bound_that_overflows() {
+        let dir = std::env::temp_dir().join(format!("rtrpart_bounds_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ar.tg");
+        let graph = path.to_str().unwrap();
+        run(&strs(&["demo", "ar", "--out", graph])).unwrap();
+        let bounds =
+            |ct: &str| run(&strs(&["bounds", "--graph", graph, "--rmax", "241", "--ct", ct]));
+        assert!(bounds("1us").is_ok());
+        for ct in [format!("1{}ns", "0".repeat(308)), "1e308ns".to_owned()] {
+            let err = bounds(&ct).unwrap_err();
+            assert!(err.contains("not finite"), "{ct}: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn threads_and_gamma_follow_the_service_rules() {
+        // Validation only: no partition ever runs with these values.
+        let threads = |v: &str| load_threads(&Options { args: &strs(&["--threads", v]) });
+        assert_eq!(threads("0"), Ok(0));
+        assert_eq!(threads("64"), Ok(64));
+        assert!(threads("65").is_err());
+        assert!(threads("100000").unwrap_err().contains("--threads"));
+        let gamma =
+            |v: &str| load_params(&Options { args: &strs(&["--gamma", v]) }, 6).map(|p| p.gamma);
+        assert_eq!(gamma("6"), Ok(6));
+        assert!(gamma("7").is_err());
+        assert!(gamma(&u32::MAX.to_string()).unwrap_err().contains("--gamma"));
     }
 
     #[test]
@@ -574,6 +629,6 @@ mod tests {
         let args = strs(&["--rmax", "1", "--ct", "1ns", "--env-policy", "psychic"]);
         assert!(load_arch(&Options { args: &args }).is_err());
         let args = strs(&["--backend", "quantum"]);
-        assert!(load_params(&Options { args: &args }).is_err());
+        assert!(load_params(&Options { args: &args }, 6).is_err());
     }
 }
