@@ -58,8 +58,9 @@ pub use checkpoint::{Checkpoint, CheckpointPolicy, CheckpointRecord, CheckpointR
 pub use error::PartitionError;
 pub use rtr_trace::failpoint;
 pub use search::{
-    default_thread_count, Backend, Degradation, Exploration, ExploreParams, IterationRecord,
+    resolve_threads, Backend, Degradation, Exploration, ExploreParams, IterationRecord,
     IterationResult, LostSubtree, RefinementStrategy, TemporalPartitioner, WindowStats,
+    MAX_THREADS,
 };
 pub use solution::{Placement, Solution};
 pub use structured::{SearchGoal, SearchLimits, SearchOutcome, SearchStats};

@@ -30,19 +30,30 @@ const PANIC_RETRY_LIMIT: u32 = 2;
 /// seeded faults draw independent decisions per batch kind.
 const CANDIDATE_FAIL_KEY: u64 = 1 << 62;
 
-/// The worker-thread count [`TemporalPartitioner::explore_parallel`] uses
-/// when asked for `0` ("auto"): the `RTR_THREADS` environment variable if it
-/// parses to a positive integer, otherwise
-/// [`std::thread::available_parallelism`] (1 if that is unknown).
-pub fn default_thread_count() -> usize {
-    if let Ok(value) = std::env::var("RTR_THREADS") {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+/// The most threads one search runs on: a pool starts all of its threads
+/// up front, so every thread count is capped here (see [`resolve_threads`]).
+pub const MAX_THREADS: usize = 64;
+
+/// The thread count a search asked for `threads` runs on, for both
+/// parallel layers ([`TemporalPartitioner::explore_parallel`] and
+/// [`StructuredSolver::run_parallel`]): `0` means auto — the `RTR_THREADS`
+/// environment variable if it parses to a positive integer, otherwise
+/// [`std::thread::available_parallelism`] (1 if that is unknown) — and
+/// every count is capped at [`MAX_THREADS`].
+pub fn resolve_threads(threads: usize) -> usize {
+    match threads {
+        0 => auto_threads(
+            std::env::var("RTR_THREADS").ok().as_deref(),
+            std::thread::available_parallelism().ok().map(std::num::NonZeroUsize::get),
+        ),
+        threads => threads.min(MAX_THREADS),
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// The auto thread count from an `RTR_THREADS` value and the CPU count.
+fn auto_threads(env: Option<&str>, cpus: Option<usize>) -> usize {
+    let from_env = env.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n >= 1);
+    from_env.or(cpus).unwrap_or(1).min(MAX_THREADS)
 }
 
 /// One evaluated phase-2 candidate bound of `Refine_Partitions_Bound`: its
@@ -229,13 +240,15 @@ pub struct ExploreParams {
     /// Window-tightening strategy of `Reduce_Latency`.
     pub strategy: RefinementStrategy,
     /// Worker threads *inside* each structured window solve
-    /// ([`StructuredSolver::run_parallel`]): `1` keeps the sequential
-    /// search, `0` resolves via `RTR_THREADS` / available parallelism.
+    /// ([`StructuredSolver::run_parallel`]): `1` runs each window's whole
+    /// tree as one job on the calling thread, and other counts resolve via
+    /// [`resolve_threads`] (`0` = `RTR_THREADS` / available parallelism).
     /// Results are bit-identical at any value (limit-fired solves are
-    /// best-effort, as on the sequential path), so this composes freely
-    /// with [`TemporalPartitioner::explore_parallel`]. Nesting the two
-    /// never multiplies thread counts: window subtree jobs join the
-    /// exploration's work-stealing pool instead of starting their own.
+    /// best-effort, as with wall-clock limits at one thread), so this
+    /// composes freely with [`TemporalPartitioner::explore_parallel`].
+    /// Nesting the two never multiplies thread counts: window subtree jobs
+    /// join the exploration's work-stealing pool instead of starting their
+    /// own.
     pub solver_threads: usize,
     /// Dominance-memoization table bound for the structured backend
     /// (`0` disables; [`crate::structured::DEFAULT_MEMO_LIMIT`] by
@@ -1137,8 +1150,8 @@ impl<'g> TemporalPartitioner<'g> {
         self.explore_ctx(1, &mut observer, RunCtx::default())
     }
 
-    /// The one loop behind every `explore*` entry point. `threads == 0`
-    /// resolves via [`default_thread_count`]. Above one thread the loop runs
+    /// The one loop behind every `explore*` entry point. `threads` resolves
+    /// via [`resolve_threads`]. Above one thread the loop runs
     /// inside a work-stealing pool shared by the phase-2 candidate bounds
     /// and any nested window subtree batches (`Pool::with` reuses an ambient
     /// pool when the caller is already inside one), so a stalled window's
@@ -1150,7 +1163,7 @@ impl<'g> TemporalPartitioner<'g> {
         observer: &mut dyn FnMut(&IterationRecord),
         ctx: RunCtx<'_>,
     ) -> Result<Exploration, PartitionError> {
-        match if threads == 0 { default_thread_count() } else { threads } {
+        match resolve_threads(threads) {
             1 => self.refine_partitions_bound(None, observer, ctx),
             threads => rtr_sched::Pool::with(threads, |pool| {
                 self.refine_partitions_bound(Some(pool), observer, ctx)
@@ -1288,7 +1301,7 @@ impl<'g> TemporalPartitioner<'g> {
                 exploration.degradation.subtrees_lost += s.subtrees_lost;
                 for _ in 0..s.subtrees_lost {
                     exploration.degradation.lost.push(LostSubtree {
-                        site: "search.job",
+                        site: "sched.job",
                         n: r.n,
                         iteration: r.iteration,
                     });
@@ -1414,9 +1427,10 @@ impl<'g> TemporalPartitioner<'g> {
     /// evaluated concurrently on a `threads`-participant work-stealing pool
     /// ([`rtr_sched::Pool`]).
     ///
-    /// `threads == 0` resolves via [`default_thread_count`] (the
-    /// `RTR_THREADS` environment variable, else the machine's available
-    /// parallelism); `threads == 1` is [`explore`](Self::explore).
+    /// `threads` resolves via [`resolve_threads`] (`0` = the `RTR_THREADS`
+    /// environment variable, else the machine's available parallelism;
+    /// every count capped at [`MAX_THREADS`]); `threads == 1` is
+    /// [`explore`](Self::explore).
     ///
     /// Workers share an atomic incumbent latency: a candidate whose
     /// `MinLatency(N)` already exceeds the incumbent is checked against the
@@ -1499,8 +1513,6 @@ impl<'g> TemporalPartitioner<'g> {
                     return;
                 }
             }
-            // Panic isolation lives inside run_candidate, and so inside the
-            // capture closure, because capture is not panic-safe.
             let (mut run, events) =
                 rtr_trace::capture(|| self.run_candidate(n, pivot, d_min, &mut |_| {}, ctx));
             run.events = events;
@@ -1866,10 +1878,29 @@ mod tests {
         let arch = Architecture::new(Area::new(100), 64, Latency::from_ns(20.0));
         let params = ExploreParams { time_budget: None, gamma: 2, ..Default::default() };
         let part = TemporalPartitioner::new(&g, &arch, params).unwrap();
-        // threads == 0 resolves via default_thread_count (env or machine).
+        // threads == 0 resolves via resolve_threads (env or machine).
         let ex = part.explore_parallel(0).unwrap();
         assert!(ex.best.is_some());
-        assert!(default_thread_count() >= 1);
+        assert!((1..=MAX_THREADS).contains(&resolve_threads(0)));
+    }
+
+    #[test]
+    fn thread_counts_resolve_under_one_ceiling() {
+        // Pure: no pool starts, whatever the value.
+        assert_eq!(resolve_threads(3), 3);
+        assert_eq!(resolve_threads(MAX_THREADS + 1), MAX_THREADS);
+        assert_eq!(resolve_threads(usize::MAX), MAX_THREADS);
+        assert_eq!(auto_threads(Some("8"), Some(2)), 8);
+        assert_eq!(auto_threads(Some(" 3 "), None), 3);
+        assert_eq!(auto_threads(Some("100000"), Some(2)), MAX_THREADS);
+        // A host with more CPUs than the ceiling.
+        assert_eq!(auto_threads(None, Some(128)), MAX_THREADS);
+        assert_eq!(auto_threads(None, Some(2)), 2);
+        // Unusable values fall back to the CPU count, then to one thread.
+        for bad in ["0", "-4", "eight", ""] {
+            assert_eq!(auto_threads(Some(bad), Some(4)), 4, "RTR_THREADS={bad:?}");
+            assert_eq!(auto_threads(Some(bad), None), 1, "RTR_THREADS={bad:?}");
+        }
     }
 
     #[test]

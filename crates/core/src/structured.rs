@@ -16,7 +16,6 @@ use crate::solution::{Placement, Solution};
 use rtr_graph::{TaskGraph, TaskId};
 use rtr_trace::{CancelFlag, Metric};
 use std::borrow::Cow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -40,18 +39,14 @@ const JOBS_PER_THREAD: usize = 8;
 /// frontier once it is exceeded).
 const MAX_JOBS: usize = 4096;
 
-/// Granularity with which parallel workers claim node allowance from the
-/// shared [`SearchLimits::node_limit`] budget.
+/// Granularity with which search participants claim node allowance from
+/// the shared [`SearchLimits::node_limit`] budget.
 const BUDGET_CHUNK: u64 = 4096;
 
-/// Times a panicked subtree job is retried from a fresh state before the
-/// subtree is abandoned and recorded in [`SearchStats::subtrees_lost`].
-const JOB_RETRY_LIMIT: u32 = 2;
-
-/// Failpoint namespace for the scheduler-level `sched.job` site under
-/// subtree batches. Disjoint from the search layer's
-/// `CANDIDATE_FAIL_KEY` (`1 << 62`) so a fault schedule hits the same
-/// (job, attempt) pairs in both layers without aliasing.
+/// `sched.job` failpoint namespace of subtree batches: the site's key is
+/// `SUBTREE_FAIL_KEY ^ (job≪8 | attempt)`. Disjoint from the candidate
+/// batches' `CANDIDATE_FAIL_KEY` (`1 << 62`), so one fault seed draws
+/// independent decisions for the two batch kinds.
 const SUBTREE_FAIL_KEY: u64 = 0;
 
 /// Limits for one structured search.
@@ -105,11 +100,11 @@ pub struct SearchStats {
     /// level dominated them (see the dominance memoization in
     /// [`StructuredSolver`]).
     pub dominance_prunes: u64,
-    /// Worker panics caught and contained by
-    /// [`StructuredSolver::run_parallel`]'s job isolation (always `0`
-    /// without fault injection or a genuine bug).
+    /// Subtree-job panics the scheduler caught under
+    /// [`StructuredSolver::run_parallel`] (always `0` without fault
+    /// injection or a genuine bug).
     pub panics_caught: u64,
-    /// Panicked subtree jobs that were retried from a fresh state.
+    /// Panicked subtree jobs that the scheduler retried.
     pub jobs_retried: u64,
     /// Subtree jobs abandoned after exhausting their retries; each one
     /// forces `exhausted` to `false`.
@@ -267,12 +262,11 @@ fn assert_thread_safe() {
     sync_and_send::<SearchStats>();
 }
 
-/// Per-search (per-worker under [`StructuredSolver::run_parallel`])
-/// dominance-memoization table: one open-addressing hash table per
-/// assignment level, keyed on the discrete part of a state's signature
-/// (the level itself is implicit). Each bucket stores, flat, the rows of
-/// up to [`MEMO_BUCKET_CAP`] states already explored to completion under
-/// its key. A row is `[proven, sum, dom…]`: `dom` is the float part
+/// Per-participant dominance-memoization table: one open-addressing hash
+/// table per assignment level, keyed on the discrete part of a state's
+/// signature (the level itself is implicit). Each bucket stores, flat, the
+/// rows of up to [`MEMO_BUCKET_CAP`] states already explored to completion
+/// under its key. A row is `[proven, sum, dom…]`: `dom` is the float part
 /// (componentwise `≤` means "at least as good"), `sum` its sum in one
 /// fixed order, and `proven` the claim *"this state has no in-window
 /// completion with total latency `< proven − 1e-9`"*.
@@ -503,13 +497,13 @@ fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
-/// State shared by the workers of [`StructuredSolver::run_parallel`].
-/// Latencies travel through `incumbent_bits` as IEEE-754 bits: for
-/// non-negative floats the bit pattern orders like the number, so
+/// State shared by the participants of one search (a lone participant
+/// included). Latencies travel through `incumbent_bits` as IEEE-754 bits:
+/// for non-negative floats the bit pattern orders like the number, so
 /// `fetch_min` on bits is `fetch_min` on latencies (the PR-2 explorer's
 /// encoding).
 struct Shared {
-    /// Best total latency accepted by any worker (or the greedy seed).
+    /// Best total latency accepted by any participant (or the greedy seed).
     incumbent_bits: AtomicU64,
     /// Node allowance claimed so far against the global `node_limit`.
     nodes_claimed: AtomicU64,
@@ -543,7 +537,7 @@ enum Step {
     Applied(Undo),
 }
 
-/// Per-job outcome a parallel worker hands to the deterministic merge.
+/// Per-job outcome a participant hands to the deterministic merge.
 struct JobResult {
     /// Improvement found while running this job, if any.
     found: Option<(f64, Vec<Placement>)>,
@@ -590,8 +584,7 @@ struct State<'s> {
     /// into `jobs` instead of descending past them (job generation).
     gen_depth: Option<usize>,
     jobs: Vec<Vec<(u32, u32)>>,
-    /// Set on parallel workers; `None` on the sequential path.
-    shared: Option<&'s Shared>,
+    shared: &'s Shared,
     /// Node allowance left from the last claimed budget chunk.
     budget_left: u64,
     job_index: usize,
@@ -918,7 +911,12 @@ impl<'g> StructuredSolver<'g> {
         seed
     }
 
-    fn fresh_state(&self, best: Option<(f64, Vec<Placement>)>, start: Instant) -> State<'_> {
+    fn fresh_state<'s>(
+        &self,
+        best: Option<(f64, Vec<Placement>)>,
+        start: Instant,
+        shared: &'s Shared,
+    ) -> State<'s> {
         let count = self.graph.task_count();
         let np = self.n as usize;
         State {
@@ -944,7 +942,7 @@ impl<'g> StructuredSolver<'g> {
             sigs: vec![MemoSig::default(); count],
             gen_depth: None,
             jobs: Vec::new(),
-            shared: None,
+            shared,
             budget_left: 0,
             job_index: 0,
             published: SearchStats::default(),
@@ -958,14 +956,18 @@ impl<'g> StructuredSolver<'g> {
         usize::from(self.depth_buckets[idx])
     }
 
-    /// Runs the search.
+    /// Runs the search on the calling thread: the whole assignment tree as
+    /// one job through the same job body, budget rule and merge as
+    /// [`run_parallel`](Self::run_parallel). A panic propagates to the
+    /// caller; only a pool's scheduler isolates job panics.
     pub fn run(&self) -> (SearchOutcome, SearchStats) {
         self.search(1)
     }
 
     /// The search on `threads` participants: the admissibility check and
-    /// the greedy seed, then the DFS on the calling thread (one
-    /// participant, or a graph too small to split) or on a pool.
+    /// the greedy seed, then the jobs on a pool, or the whole tree as one
+    /// job on the calling thread (one participant, or a graph too small to
+    /// split).
     fn search(&self, threads: usize) -> (SearchOutcome, SearchStats) {
         // A task none of whose design points fits the device can never be
         // placed.
@@ -981,14 +983,9 @@ impl<'g> StructuredSolver<'g> {
         let seed = seed.map(|(total, sol)| (total, sol.placements().to_vec()));
         let start = Instant::now();
         if threads > 1 && self.graph.task_count() >= 2 {
-            return rtr_sched::Pool::with(threads, |pool| self.run_on_pool(pool, seed, start));
+            return rtr_sched::Pool::with(threads, |pool| self.run_jobs(Some(pool), seed, start));
         }
-        let mut st = self.fresh_state(seed, start);
-        self.dfs(0, &mut st);
-        publish_status(&mut st);
-        let mut stats = st.stats;
-        stats.exhausted = st.nodes_exhausted;
-        self.outcome(st.best.map(|(_, placements)| placements), stats)
+        self.run_jobs(None, seed, start)
     }
 
     /// The search's answer: the best placements found as a solution, else
@@ -1090,9 +1087,7 @@ impl<'g> StructuredSolver<'g> {
                             ("latency_ns".to_owned(), total.into()),
                         ]
                     });
-                    if let Some(sh) = st.shared {
-                        sh.incumbent_bits.fetch_min(total.to_bits(), Ordering::Relaxed);
-                    }
+                    st.shared.incumbent_bits.fetch_min(total.to_bits(), Ordering::Relaxed);
                 }
                 if self.goal == SearchGoal::FirstFeasible {
                     return true;
@@ -1224,10 +1219,7 @@ impl<'g> StructuredSolver<'g> {
         // — nothing below this state beats it by more than the tolerance.
         if let Some(probe) = probe {
             let local = st.best.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
-            let shared_best = st
-                .shared
-                .map(|sh| f64::from_bits(sh.incumbent_bits.load(Ordering::Relaxed)))
-                .unwrap_or(f64::INFINITY);
+            let shared_best = f64::from_bits(st.shared.incumbent_bits.load(Ordering::Relaxed));
             let sig = &mut st.sigs[idx];
             st.memo.insert(idx, &probe, &sig.key, &mut sig.row, local.min(shared_best));
         }
@@ -1236,70 +1228,44 @@ impl<'g> StructuredSolver<'g> {
 
     /// Charges one node against the active limits. Returns `true` to abort.
     ///
-    /// Sequential path: exact node/time limits, unchanged semantics. Shared
-    /// path: workers claim allowances from the *global* node budget in
+    /// Participants claim allowances from the *global* node budget in
     /// [`BUDGET_CHUNK`]-sized chunks, so a `node_limit` of 50M means 50M
-    /// nodes across all threads (allowances never exceed the remainder);
-    /// wall-clock and first-found aborts piggyback on the every-1024 check.
+    /// nodes across all threads (allowances never exceed the remainder),
+    /// and a lone participant stops at exactly the limit; wall-clock,
+    /// cancellation and first-found aborts piggyback on the every-1024
+    /// check.
     fn charge_node(&self, st: &mut State) -> bool {
-        match st.shared {
-            None => {
-                if st.stats.nodes >= self.limits.node_limit {
-                    st.nodes_exhausted = false;
-                    return true;
-                }
-                if st.stats.nodes.is_multiple_of(1024) {
-                    if let Some(limit) = self.limits.time_limit {
-                        if st.start.elapsed() >= limit {
-                            st.nodes_exhausted = false;
-                            return true;
-                        }
-                    }
-                    if self.cancel.is_cancelled() {
-                        st.nodes_exhausted = false;
-                        return true;
-                    }
-                }
+        let sh = st.shared;
+        if st.budget_left == 0 {
+            if sh.limit_hit.load(Ordering::Relaxed) {
+                st.nodes_exhausted = false;
+                return true;
             }
-            Some(sh) => {
-                if st.budget_left == 0 {
-                    if sh.limit_hit.load(Ordering::Relaxed) {
-                        st.nodes_exhausted = false;
-                        return true;
-                    }
-                    let claimed = sh.nodes_claimed.fetch_add(BUDGET_CHUNK, Ordering::Relaxed);
-                    if claimed >= sh.node_limit {
-                        sh.limit_hit.store(true, Ordering::Relaxed);
-                        st.nodes_exhausted = false;
-                        return true;
-                    }
-                    st.budget_left = BUDGET_CHUNK.min(sh.node_limit - claimed);
-                }
-                if st.stats.nodes.is_multiple_of(1024) {
-                    if let Some(limit) = self.limits.time_limit {
-                        if st.start.elapsed() >= limit {
-                            sh.limit_hit.store(true, Ordering::Relaxed);
-                            st.nodes_exhausted = false;
-                            return true;
-                        }
-                    }
-                    if self.cancel.is_cancelled() {
-                        sh.limit_hit.store(true, Ordering::Relaxed);
-                        st.nodes_exhausted = false;
-                        return true;
-                    }
-                    // First-feasible found in an earlier subtree: this job
-                    // can no longer win the merge, stop without marking the
-                    // search non-exhaustive.
-                    if self.goal == SearchGoal::FirstFeasible
-                        && sh.first_found.load(Ordering::Relaxed) < st.job_index
-                    {
-                        return true;
-                    }
-                }
-                st.budget_left -= 1;
+            let claimed = sh.nodes_claimed.fetch_add(BUDGET_CHUNK, Ordering::Relaxed);
+            if claimed >= sh.node_limit {
+                sh.limit_hit.store(true, Ordering::Relaxed);
+                st.nodes_exhausted = false;
+                return true;
+            }
+            st.budget_left = BUDGET_CHUNK.min(sh.node_limit - claimed);
+        }
+        if st.stats.nodes.is_multiple_of(1024) {
+            let timed_out = self.limits.time_limit.is_some_and(|limit| st.start.elapsed() >= limit);
+            if timed_out || self.cancel.is_cancelled() {
+                sh.limit_hit.store(true, Ordering::Relaxed);
+                st.nodes_exhausted = false;
+                return true;
+            }
+            // First-feasible found in an earlier subtree: this job can no
+            // longer win the merge, stop without marking the search
+            // non-exhaustive.
+            if self.goal == SearchGoal::FirstFeasible
+                && sh.first_found.load(Ordering::Relaxed) < st.job_index
+            {
+                return true;
             }
         }
+        st.budget_left -= 1;
         st.stats.nodes += 1;
         if st.stats.nodes.is_multiple_of(STATUS_CADENCE) {
             publish_status(st);
@@ -1309,7 +1275,7 @@ impl<'g> StructuredSolver<'g> {
 
     /// Checks task `t` on `(p, m)` against every constraint and bound and,
     /// if it survives, applies the assignment. `charge` is `false` only
-    /// when a parallel worker replays an already-charged job prefix.
+    /// when a job replays its prefix, which generation already charged.
     fn check_and_apply(
         &self,
         idx: usize,
@@ -1407,13 +1373,11 @@ impl<'g> StructuredSolver<'g> {
             // Cross-thread incumbent: strictly worse only, so a bound that
             // ties the (racy) shared value never prunes — that keeps the
             // merged result independent of arrival order.
-            if let Some(sh) = st.shared {
-                let shared_best = f64::from_bits(sh.incumbent_bits.load(Ordering::Relaxed));
-                if lb > shared_best + 1e-9 {
-                    st.stats.latency_prunes += 1;
-                    st.stats.prunes_by_depth[self.depth_bucket(idx)] += 1;
-                    return Step::Rejected;
-                }
+            let shared_best = f64::from_bits(st.shared.incumbent_bits.load(Ordering::Relaxed));
+            if lb > shared_best + 1e-9 {
+                st.stats.latency_prunes += 1;
+                st.stats.prunes_by_depth[self.depth_bucket(idx)] += 1;
+                return Step::Rejected;
             }
         }
 
@@ -1542,48 +1506,65 @@ impl<'g> StructuredSolver<'g> {
         self.arch.reconfig_time().as_ns()
     }
 
-    /// Runs the search with the assignment tree split into subtree jobs on
-    /// the shared work-stealing pool (`0` = auto via `RTR_THREADS` /
-    /// available parallelism).
+    /// Runs the search on `threads` participants, resolved by
+    /// [`crate::resolve_threads`] (`0` = auto via `RTR_THREADS` / available
+    /// parallelism, capped at [`crate::MAX_THREADS`]). At one thread this
+    /// is [`run`](Self::run).
     ///
     /// When the caller is already inside a pool — a window solve submitted
     /// from a phase-2 candidate job — the ambient pool is reused and
-    /// `threads` is ignored: both layers draw from the one global thread
-    /// budget, and this window's jobs can be stolen by idle workers from
-    /// other candidates (and vice versa) instead of idling a statically
-    /// split sub-pool. Otherwise a pool of `threads` is created for the
-    /// duration of the solve.
+    /// `threads` only decides whether the tree is split: both layers draw
+    /// from the one global thread budget, and this window's jobs can be
+    /// taken by idle workers from other candidates (and vice versa) instead
+    /// of idling a statically split sub-pool. Otherwise a pool of `threads`
+    /// is created for the duration of the solve.
     ///
-    /// The first levels of the tree are expanded sequentially — pruning
-    /// against the greedy seed only — into prefix jobs; the pool hands jobs
-    /// out in ascending order, participants share an incumbent as
-    /// `AtomicU64` latency bits, and the merge scans job results in
-    /// ascending job order accepting strict improvements, so the returned
-    /// `Solution` and `SearchOutcome` are identical to [`run`](Self::run)
-    /// for any thread count. Fired node/time limits are the exception: the
-    /// global budget is exact, but *which* nodes it covers depends on
-    /// scheduling, so limit-hit results are best-effort (exactly like
-    /// wall-clock deadlines on the sequential path).
+    /// The first levels of the tree are expanded — pruning against the
+    /// greedy seed only — into prefix jobs; the pool hands jobs out in
+    /// ascending order, participants share an incumbent as `AtomicU64`
+    /// latency bits, and the merge scans job results in ascending job order
+    /// accepting strict improvements, so the returned `Solution` and
+    /// `SearchOutcome` are identical to [`run`](Self::run) for any thread
+    /// count. Fired node/time limits are the exception: the global budget
+    /// is exact, but *which* nodes it covers depends on scheduling, so
+    /// limit-hit results are best-effort (exactly like wall-clock deadlines
+    /// at one thread). A subtree job that panics is retried and, after
+    /// [`rtr_sched::SCHED_RETRY_LIMIT`] retries, abandoned by the
+    /// scheduler and counted in [`SearchStats::subtrees_lost`].
     pub fn run_parallel(&self, threads: usize) -> (SearchOutcome, SearchStats) {
-        self.search(if threads == 0 { crate::search::default_thread_count() } else { threads })
+        self.search(crate::resolve_threads(threads))
     }
 
-    /// The parallel search body, scheduled on `pool` (see
+    /// Every structured search after its seed (see
     /// [`run_parallel`](Self::run_parallel), which owns the public
-    /// contract).
-    fn run_on_pool(
+    /// contract). With a pool it splits the tree into prefix jobs and runs
+    /// them as one batch; without one it runs the whole tree as job 0 on
+    /// the calling thread. Either way every job runs the same body, charges
+    /// the same shared budget, and goes through the same ascending merge.
+    fn run_jobs(
         &self,
-        pool: &rtr_sched::Pool,
+        pool: Option<&rtr_sched::Pool>,
         seed: Option<(f64, Vec<Placement>)>,
         start: Instant,
     ) -> (SearchOutcome, SearchStats) {
         let count = self.graph.task_count();
+        let shared = Shared {
+            incumbent_bits: AtomicU64::new(
+                seed.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY).to_bits(),
+            ),
+            nodes_claimed: AtomicU64::new(0),
+            node_limit: self.limits.node_limit,
+            first_found: AtomicUsize::new(usize::MAX),
+            limit_hit: AtomicBool::new(false),
+        };
         // Job generation: deepen the split frontier until every pool
         // participant can claim several jobs (work stealing by job
         // granularity). Each pass re-expands from the root, which is cheap
-        // — the frontier is tiny compared to the tree below it.
-        let target = (pool.threads() * JOBS_PER_THREAD).min(MAX_JOBS);
-        let mut gen = self.fresh_state(seed.clone(), start);
+        // — the frontier is tiny compared to the tree below it. A lone
+        // participant keeps the root as its only job.
+        let participants = pool.map_or(1, rtr_sched::Pool::threads);
+        let target = pool.map_or(1, |_| (participants * JOBS_PER_THREAD).min(MAX_JOBS));
+        let mut gen = self.fresh_state(seed.clone(), start, &shared);
         let mut jobs: Vec<Vec<(u32, u32)>> = vec![Vec::new()];
         let mut depth = 0usize;
         while jobs.len() < target && depth + 1 < count {
@@ -1604,28 +1585,17 @@ impl<'g> StructuredSolver<'g> {
             }
             jobs = std::mem::take(&mut gen.jobs);
         }
-        gen.gen_depth = None;
         publish_status(&mut gen);
+        // Generation claimed whole chunks; the jobs' budget starts at the
+        // nodes it actually charged.
+        shared.nodes_claimed.store(gen.stats.nodes, Ordering::Relaxed);
         let depth = jobs[0].len();
         debug_assert!(jobs.iter().all(|j| j.len() == depth));
 
-        let shared = Shared {
-            incumbent_bits: AtomicU64::new(
-                seed.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY).to_bits(),
-            ),
-            // Generation nodes were already charged sequentially; count them
-            // against the global budget so run_parallel never exceeds it.
-            nodes_claimed: AtomicU64::new(gen.stats.nodes),
-            node_limit: self.limits.node_limit,
-            first_found: AtomicUsize::new(usize::MAX),
-            limit_hit: AtomicBool::new(false),
-        };
         let results: Vec<Mutex<Option<JobResult>>> =
             (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-        let participants = pool.threads();
-        // Per-participant worker state, created lazily on first claim and
-        // reused across this batch's jobs, so the dominance memo keeps its
-        // cross-job hits exactly as the bespoke per-worker states did.
+        // Per-participant state, created on first claim and reused across
+        // this batch's jobs, so the dominance memo keeps its cross-job hits.
         let states: Vec<Mutex<Option<State<'_>>>> =
             (0..participants).map(|_| Mutex::new(None)).collect();
         // Per-participant load accounting for the flight recorder: jobs
@@ -1633,147 +1603,88 @@ impl<'g> StructuredSolver<'g> {
         let worker_jobs: Vec<AtomicU64> = (0..participants).map(|_| AtomicU64::new(0)).collect();
         let worker_busy_us: Vec<AtomicU64> = (0..participants).map(|_| AtomicU64::new(0)).collect();
         let workers_started = Instant::now();
-        let report = pool.run(jobs.len(), SUBTREE_FAIL_KEY, |j| {
-            let pid = pool.participant_ordinal().unwrap_or(0);
+        let run_job = |j: usize| {
+            let pid = pool.and_then(rtr_sched::Pool::participant_ordinal).unwrap_or(0);
             let busy_from = Instant::now();
-            let board = rtr_trace::status::board();
-            let mut state_slot = states[pid].lock().unwrap_or_else(PoisonError::into_inner);
-            let st = state_slot.get_or_insert_with(|| {
-                let mut st = self.fresh_state(seed.clone(), start);
-                st.shared = Some(&shared);
-                st
-            });
+            // The job owns its participant's state until it puts it back,
+            // so a panicking job drops the state it may have left
+            // mid-assignment, and the scheduler's retry starts from a
+            // fresh one. The merge accepts ascending strict improvements
+            // only, so a rebuilt incumbent never changes the outcome.
+            let taken = states[pid].lock().unwrap_or_else(PoisonError::into_inner).take();
+            let mut st = taken.unwrap_or_else(|| self.fresh_state(seed.clone(), start, &shared));
             if self.goal == SearchGoal::FirstFeasible {
                 st.best = None;
             }
             worker_jobs[pid].fetch_add(1, Ordering::Relaxed);
-            board.add(Metric::JobsClaimed, 1);
+            rtr_trace::status::board().add(Metric::JobsClaimed, 1);
             st.job_index = j;
-            let job = &jobs[j];
-            // Panic isolation: a panicking job (injected at the
-            // `search.job` failpoint, or a genuine bug) costs at
-            // most its own subtree. The panicked state is
-            // corrupted mid-assignment, so every retry rebuilds
-            // a fresh worker state; the merge below accepts
-            // ascending strict improvements, so a rebuilt
-            // incumbent never changes the outcome. catch_unwind
-            // sits *inside* capture, which is not panic-safe.
-            let mut attempt = 0u32;
-            let mut panics = 0u64;
-            let mut retries = 0u64;
-            let result = loop {
-                if self.goal == SearchGoal::FirstFeasible {
-                    st.best = None;
+            st.nodes_exhausted = true;
+            let prev_best = st.best.as_ref().map(|(b, _)| *b);
+            let ((), events) = rtr_trace::capture(|| {
+                if shared.limit_hit.load(Ordering::Relaxed)
+                    || (self.goal == SearchGoal::FirstFeasible
+                        && shared.first_found.load(Ordering::Relaxed) < j)
+                {
+                    return;
                 }
-                st.nodes_exhausted = true;
-                st.stats = SearchStats::default();
-                st.published = SearchStats::default();
-                let prev_best = st.best.as_ref().map(|(b, _)| *b);
-                let (finished, events) = rtr_trace::capture(|| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        rtr_trace::failpoint::panic_if(
-                            "search.job",
-                            ((j as u64) << 8) | u64::from(attempt),
-                        );
-                        // Relevance is checked *after* the
-                        // failpoint, and jobs are claimed even
-                        // past a fired limit: every job runs
-                        // its full (job, attempt) fault
-                        // schedule, so the degradation account
-                        // is a pure function of the job list —
-                        // run-to-run deterministic at a fixed
-                        // worker count no matter how the
-                        // scheduler interleaves the claims.
-                        // Only the subtree *work* is skipped.
-                        if shared.limit_hit.load(Ordering::Relaxed)
-                            || (self.goal == SearchGoal::FirstFeasible
-                                && shared.first_found.load(Ordering::Relaxed) < j)
-                        {
-                            return;
+                let span = rtr_trace::span("structured.subtree")
+                    .with("job", j as u64)
+                    .with("depth", depth as u64);
+                let mut undos: Vec<Undo> = Vec::with_capacity(depth);
+                let mut pruned = false;
+                for (lvl, &(p, m)) in jobs[j].iter().enumerate() {
+                    // Replaying the prefix can legitimately be rejected
+                    // now: a better incumbent may have arrived since
+                    // generation, pruning the whole subtree.
+                    match self.check_and_apply(lvl, self.order[lvl], p, m as usize, &mut st, false)
+                    {
+                        Step::Applied(u) => undos.push(u),
+                        _ => {
+                            pruned = true;
+                            break;
                         }
-                        let span = rtr_trace::span("structured.subtree")
-                            .with("job", j as u64)
-                            .with("depth", depth as u64);
-                        let mut undos: Vec<Undo> = Vec::with_capacity(depth);
-                        let mut pruned = false;
-                        for (lvl, &(p, m)) in job.iter().enumerate() {
-                            // Replaying the prefix can
-                            // legitimately be rejected now: a
-                            // better incumbent may have arrived
-                            // since generation, pruning the
-                            // whole subtree.
-                            match self.check_and_apply(
-                                lvl,
-                                self.order[lvl],
-                                p,
-                                m as usize,
-                                st,
-                                false,
-                            ) {
-                                Step::Applied(u) => undos.push(u),
-                                _ => {
-                                    pruned = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if !pruned {
-                            self.dfs(depth, st);
-                        }
-                        for u in undos.into_iter().rev() {
-                            self.undo_step(u, st);
-                        }
-                        span.finish();
-                    }))
-                    .is_ok()
-                });
-                if finished {
-                    publish_status(st);
-                    let found = match (&st.best, prev_best) {
-                        (Some((b, pl)), Some(pb)) if *b < pb - 1e-9 => Some((*b, pl.clone())),
-                        (Some((b, pl)), None) => Some((*b, pl.clone())),
-                        _ => None,
-                    };
-                    let mut job_stats = std::mem::take(&mut st.stats);
-                    st.published = SearchStats::default();
-                    job_stats.exhausted = st.nodes_exhausted;
-                    job_stats.panics_caught += panics;
-                    job_stats.jobs_retried += retries;
-                    break JobResult { found, stats: job_stats, events };
+                    }
                 }
-                panics += 1;
-                *st = self.fresh_state(seed.clone(), start);
-                st.shared = Some(&shared);
-                st.job_index = j;
-                if attempt >= JOB_RETRY_LIMIT {
-                    break JobResult {
-                        found: None,
-                        stats: SearchStats {
-                            panics_caught: panics,
-                            jobs_retried: retries,
-                            subtrees_lost: 1,
-                            exhausted: false,
-                            ..SearchStats::default()
-                        },
-                        events: Vec::new(),
-                    };
+                if !pruned {
+                    self.dfs(depth, &mut st);
                 }
-                attempt += 1;
-                retries += 1;
+                for u in undos.into_iter().rev() {
+                    self.undo_step(u, &mut st);
+                }
+                span.finish();
+            });
+            publish_status(&mut st);
+            let found = match (&st.best, prev_best) {
+                (Some((b, pl)), Some(pb)) if *b < pb - 1e-9 => Some((*b, pl.clone())),
+                (Some((b, pl)), None) => Some((*b, pl.clone())),
+                _ => None,
             };
-            if self.goal == SearchGoal::FirstFeasible && result.found.is_some() {
+            let mut stats = std::mem::take(&mut st.stats);
+            st.published = SearchStats::default();
+            stats.exhausted = st.nodes_exhausted;
+            if self.goal == SearchGoal::FirstFeasible && found.is_some() {
                 shared.first_found.fetch_min(j, Ordering::Relaxed);
             }
-            *results[j].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+            *results[j].lock().unwrap_or_else(PoisonError::into_inner) =
+                Some(JobResult { found, stats, events });
+            *states[pid].lock().unwrap_or_else(PoisonError::into_inner) = Some(st);
             worker_busy_us[pid].fetch_add(
                 busy_from.elapsed().as_micros().min(u64::MAX as u128) as u64,
                 Ordering::Relaxed,
             );
-        });
+        };
+        let report = match pool {
+            Some(pool) => pool.run(jobs.len(), SUBTREE_FAIL_KEY, run_job),
+            None => {
+                run_job(0);
+                rtr_sched::BatchReport::default()
+            }
+        };
         // Per-worker load balance gauges. Wall-clock-dependent and only
-        // emitted on the multi-threaded path, so they never enter the
-        // deterministic single-thread trace stream the replay tests compare.
-        if rtr_trace::enabled() {
+        // emitted on a pool, so they never enter the deterministic
+        // one-thread trace stream the replay tests compare.
+        if pool.is_some() && rtr_trace::enabled() {
             let wall_us = workers_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
             for (w, (jobs_run, busy)) in worker_jobs.iter().zip(&worker_busy_us).enumerate() {
                 let busy_us = busy.load(Ordering::Relaxed).min(wall_us);
@@ -1789,8 +1700,8 @@ impl<'g> StructuredSolver<'g> {
         }
 
         // Deterministic merge: ascending job order, strict improvement only
-        // — exactly the order and acceptance rule the sequential search
-        // applies across these subtrees.
+        // — exactly the order and acceptance rule one participant applies
+        // across these subtrees.
         let mut stats = gen.stats;
         stats.exhausted = true;
         let mut best = seed;
@@ -1820,14 +1731,13 @@ impl<'g> StructuredSolver<'g> {
             }
         }
         if self.goal == SearchGoal::FirstFeasible && first_feasible.is_some() {
-            // Matches the sequential path, where stopping at the first
-            // solution still counts as an exhaustive answer.
+            // Stopping at the first solution still counts as an exhaustive
+            // answer, unless a limit fired somewhere.
             stats.exhausted = !shared.limit_hit.load(Ordering::Relaxed);
         }
         // Jobs the scheduler abandoned at the `sched.job` site left their
-        // result slot empty (forcing `exhausted = false` above); fold the
-        // pool's batch account in so the degradation surface matches the
-        // in-job `search.job` site.
+        // result slot empty (forcing `exhausted = false` above); the batch
+        // report is the search's whole degradation account.
         stats.panics_caught += report.panics_caught;
         stats.jobs_retried += report.jobs_retried;
         stats.subtrees_lost += report.lost.len() as u64;

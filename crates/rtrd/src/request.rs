@@ -30,24 +30,23 @@
 
 use rtr_core::{
     Architecture, Backend, EnvMemoryPolicy, ExploreParams, RefinementStrategy, SearchLimits,
+    MAX_THREADS,
 };
 use rtr_graph::{Area, Latency, TaskGraph};
 use rtr_trace::{parse_value, JsonValue};
 use std::fmt;
 use std::time::Duration;
 
-/// The most worker threads one job may ask for: the solve's pool starts
-/// them all up front.
-pub const MAX_THREADS: u64 = 64;
-
-/// Checks a worker-thread count against [`MAX_THREADS`]. The `Err` says
-/// why the count is refused. Shared by both front ends, so the daemon and
-/// the CLI refuse the same counts.
+/// Checks a thread count against [`MAX_THREADS`], the solver's ceiling:
+/// a pool starts all of its threads up front. The `Err` says why the
+/// count is refused. Shared by the daemon's `--workers`, a job's
+/// `threads` and the CLI's `--threads`, so all of them refuse the same
+/// counts.
 pub fn check_threads(threads: u64) -> Result<usize, String> {
-    if threads > MAX_THREADS {
-        return Err(format!("exceeds the ceiling of {MAX_THREADS}"));
+    match usize::try_from(threads) {
+        Ok(threads) if threads <= MAX_THREADS => Ok(threads),
+        _ => Err(format!("exceeds the ceiling of {MAX_THREADS}")),
     }
-    usize::try_from(threads).map_err(|_| "out of range".to_owned())
 }
 
 /// Checks the ending partition relaxation γ against the graph's task

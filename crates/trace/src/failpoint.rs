@@ -17,7 +17,7 @@
 //!
 //! Configuration comes from the `RTR_FAILPOINTS` environment variable —
 //! `<seed>:<rate>[:<site,site,...>]`, e.g. `RTR_FAILPOINTS=7:0.2` or
-//! `RTR_FAILPOINTS=7:1.0:search.job` — or programmatically via
+//! `RTR_FAILPOINTS=7:1.0:sched.job` — or programmatically via
 //! [`install`] / [`clear`] for tests. `rate` is the per-visit trip
 //! probability in `[0, 1]`; an empty site list means every registered
 //! site participates.
@@ -210,8 +210,8 @@ mod tests {
         assert!((c.rate - 0.25).abs() < 1e-12);
         assert!(c.sites.is_empty());
 
-        let c = FailpointConfig::parse("42:1.0:search.job, explore.window").expect("with sites");
-        assert_eq!(c.sites, vec!["search.job", "explore.window"]);
+        let c = FailpointConfig::parse("42:1.0:sched.job, explore.window").expect("with sites");
+        assert_eq!(c.sites, vec!["sched.job", "explore.window"]);
 
         assert!(FailpointConfig::parse("").is_none());
         assert!(FailpointConfig::parse("x:0.5").is_none());

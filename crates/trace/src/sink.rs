@@ -108,16 +108,20 @@ thread_local! {
 /// When no sink is installed ([`enabled`] is `false`) the emission helpers
 /// produce nothing, so `f` runs at full speed and the returned buffer is
 /// empty. Calls may nest; each `capture` sees only the events of its own
-/// scope.
+/// scope. If `f` unwinds, its events are dropped and the enclosing buffer
+/// is put back, so a caller that catches the panic keeps capturing.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
-    let previous = CAPTURE.with(|c| c.borrow_mut().replace(Vec::new()));
+    /// Puts the enclosing buffer back when dropped, on return or unwind.
+    struct Restore(Option<Vec<Event>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let previous = self.0.take();
+            CAPTURE.with(|c| *c.borrow_mut() = previous);
+        }
+    }
+    let _restore = Restore(CAPTURE.with(|c| c.borrow_mut().replace(Vec::new())));
     let result = f();
-    let events = CAPTURE.with(|c| {
-        let mut slot = c.borrow_mut();
-        let events = slot.take().unwrap_or_default();
-        *slot = previous;
-        events
-    });
+    let events = CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default();
     (result, events)
 }
 
@@ -418,6 +422,29 @@ mod tests {
         uninstall();
         let names: Vec<&str> = outer.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["outer.a", "outer.b"]);
+        assert!(sink.take().is_empty());
+    }
+
+    #[test]
+    fn a_panic_in_a_nested_capture_leaves_the_outer_capture_intact() {
+        let _g = GUARD.lock().unwrap();
+        let sink = Arc::new(MemorySink::new());
+        install(sink.clone());
+        let ((), outer) = capture(|| {
+            counter("outer.before", 1);
+            let caught = std::panic::catch_unwind(|| {
+                capture(|| {
+                    counter("inner.lost", 2);
+                    // Unwinds without running the panic hook.
+                    std::panic::resume_unwind(Box::new("job died"));
+                })
+            });
+            assert!(caught.is_err());
+            counter("outer.after", 3);
+        });
+        uninstall();
+        let names: Vec<&str> = outer.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, vec!["outer.before", "outer.after"]);
         assert!(sink.take().is_empty());
     }
 

@@ -24,7 +24,7 @@ OPTIONS:
     --listen <addr>      bind address               [default: 127.0.0.1:7171]
     --cache-dir <dir>    durable solve cache root   [default: rtrd-cache]
     --queue-cap <n>      max queued + running jobs  [default: 8]
-    --workers <n>        worker threads             [default: 2]
+    --workers <n>        worker threads, at most 64 [default: 2]
     --help               print this text
 
 ENDPOINTS:
@@ -75,14 +75,21 @@ fn parsed<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Resul
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let config = rtrd::Config {
+/// The daemon's configuration from its arguments. `--workers` obeys the
+/// solver's thread ceiling (`rtrd::request::check_threads`), checked here,
+/// before anything binds or starts.
+fn config(args: &[String]) -> Result<rtrd::Config, String> {
+    Ok(rtrd::Config {
         listen: value(args, "--listen").unwrap_or("127.0.0.1:7171").to_owned(),
         cache_dir: value(args, "--cache-dir").unwrap_or("rtrd-cache").into(),
         queue_cap: parsed(args, "--queue-cap", 8usize)?,
-        workers: parsed(args, "--workers", 2usize)?,
-    };
+        workers: rtrd::request::check_threads(parsed(args, "--workers", 2u64)?)
+            .map_err(|e| format!("invalid value for `--workers`: {e}"))?,
+    })
+}
 
+fn run(args: &[String]) -> Result<(), String> {
+    let config = config(args)?;
     rtrd::signal::install_sigterm_latch();
     let server = rtrd::Server::start(config).map_err(|e| format!("cannot start server: {e}"))?;
     println!("rtrd listening on {}", server.local_addr());
@@ -102,4 +109,25 @@ fn run(args: &[String]) -> Result<(), String> {
     server.shutdown();
     println!("rtrd: drained; bye");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strs(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn workers_obey_the_thread_ceiling() {
+        // Parsing only: no server starts with these values.
+        let workers = |v: &str| config(&strs(&["--workers", v])).map(|c| c.workers);
+        assert_eq!(workers("64"), Ok(64));
+        assert_eq!(workers("0"), Ok(0));
+        assert!(workers("65").unwrap_err().contains("--workers"));
+        assert!(workers("18446744073709551615").unwrap_err().contains("ceiling"));
+        assert!(workers("-1").is_err());
+        assert_eq!(config(&[]).map(|c| c.workers), Ok(2));
+    }
 }

@@ -53,7 +53,8 @@ OPTIONS (partition / bounds / simulate):
                           one; makes runs machine-independent and byte-
                           reproducible (used by checkpoint/resume tests)
     --threads <n>         worker threads, at most 64; 0 = auto (RTR_THREADS
-                          env var, else CPU count) [default: 1]. One global
+                          env var, else CPU count; also at most 64)
+                          [default: 1]. One global
                           work-stealing pool schedules candidate windows and
                           each window's structured subtrees under a single
                           thread budget; results are identical at any count

@@ -102,8 +102,8 @@ pub use rtr_workloads as workloads;
 pub use rtrd as service;
 
 pub use rtr_core::{
-    default_thread_count, max_area_partitions, max_latency, min_area_partitions, min_latency,
+    max_area_partitions, max_latency, min_area_partitions, min_latency, resolve_threads,
     validate_solution, Architecture, Backend, Checkpoint, CheckpointPolicy, Degradation,
     EnvMemoryPolicy, Exploration, ExploreParams, IterationRecord, IterationResult, LostSubtree,
-    PartitionError, Placement, SearchLimits, Solution, TemporalPartitioner,
+    PartitionError, Placement, SearchLimits, Solution, TemporalPartitioner, MAX_THREADS,
 };

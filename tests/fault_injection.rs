@@ -165,13 +165,14 @@ fn candidate_panics_degrade_but_never_escape() {
 }
 
 #[test]
-fn search_job_panics_degrade_but_never_escape() {
+fn subtree_job_panics_degrade_but_never_escape() {
     let _guard = registry_lock();
     let _clear = ClearOnDrop;
     failpoint::silence_injected_panics();
-    // `search.job` sites only exist on the intra-window parallel path.
-    let degraded = run_matrix_with(config(13, 0.5, &["search.job"]), 1, 4);
-    assert!(degraded > 0, "rate 0.5 never tripped a search job; harness is dead");
+    // At one candidate thread, `sched.job` only guards the subtree jobs of
+    // the intra-window pool.
+    let degraded = run_matrix_with(config(13, 0.5, &["sched.job"]), 1, 4);
+    assert!(degraded > 0, "rate 0.5 never tripped a subtree job; harness is dead");
 }
 
 #[test]
@@ -188,7 +189,7 @@ fn all_panic_sites_at_full_rate_still_return() {
         let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(inst.ct));
         let params = ExploreParams { solver_threads: 2, ..deterministic_params() };
         let part = TemporalPartitioner::new(&g, &arch, params).unwrap();
-        failpoint::install(config(17, 1.0, &["explore.window", "explore.candidate", "search.job"]));
+        failpoint::install(config(17, 1.0, &["explore.window", "explore.candidate", "sched.job"]));
         let result = if threads <= 1 { part.explore() } else { part.explore_parallel(threads) };
         failpoint::clear();
         let ex = result.expect("total fault injection still returns an exploration");

@@ -177,9 +177,10 @@ fn merged_trace_stream_matches_sequential() {
 /// byte-identical at every thread count. Runs go through the real binary in
 /// a subprocess — the registry is process-global, so arming it in-process
 /// would race the other tests in this binary, and the env-var path gets no
-/// coverage otherwise. (`search.job` is deliberately absent from the site
-/// list: its job set depends on the worker count, so it is covered by the
-/// run-to-run test in `tests/search_parallel_determinism.rs` instead.)
+/// coverage otherwise. (`sched.job` is deliberately absent from the site
+/// list: the subtree job set depends on the worker count, so it is covered
+/// by the run-to-run tests in `tests/search_parallel_determinism.rs` and
+/// `tests/scheduler_determinism.rs` instead.)
 #[test]
 fn fault_injected_runs_are_bit_identical_across_thread_counts() {
     let bin = env!("CARGO_BIN_EXE_rtrpart");

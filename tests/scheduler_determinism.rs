@@ -191,7 +191,7 @@ fn adversarial_fixture_steals_without_diverging() {
     let _g = lock();
     // Deterministically pick the first seeded instance that *provably*
     // exercises dynamic nesting: a probe run at 4 threads must submit
-    // nested batches (window solves reaching `run_on_pool` from inside a
+    // nested batches (window solves reaching the pool from inside a
     // candidate job — a deterministic counter: which windows get past the
     // greedy-seed shortcut does not depend on scheduling), on top of
     // enough structured nodes that the dominant window dwarfs the rest.
@@ -271,7 +271,7 @@ fn adversarial_fixture_steals_without_diverging() {
 /// a fixed `--threads` two identically-seeded runs must agree
 /// byte-for-byte on the CSV, the summary on stdout, and the degradation
 /// report on stderr — no matter which worker claims or steals which job.
-/// Subprocess-based like the `search.job` matrix: the failpoint registry
+/// Subprocess-based like the subtree-job matrix: the failpoint registry
 /// is process-global and the env-var path gets no coverage otherwise.
 #[test]
 fn sched_job_faults_are_deterministic_run_to_run() {

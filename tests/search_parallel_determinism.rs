@@ -161,7 +161,7 @@ fn dct_window_solve_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Fault injection on the intra-window `search.job` site is deterministic
+/// Fault injection on the `sched.job` site of subtree jobs is deterministic
 /// *run-to-run at a fixed worker count*: the job frontier depends on how
 /// many workers it has to feed, so (unlike the exploration-level sites) the
 /// degradation is not comparable across counts — but at the same count, two
@@ -170,7 +170,7 @@ fn dct_window_solve_is_bit_identical_across_thread_counts() {
 /// for the same reason as the matrix test in `tests/parallel_determinism.rs`:
 /// the registry is process-global and the env path needs coverage.
 #[test]
-fn search_job_faults_are_deterministic_run_to_run() {
+fn subtree_job_faults_are_deterministic_run_to_run() {
     let bin = env!("CARGO_BIN_EXE_rtrpart");
     let dir = std::env::temp_dir().join(format!("rtr_fi_job_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -187,13 +187,13 @@ fn search_job_faults_are_deterministic_run_to_run() {
         let graph = dir.join(format!("case{case}.tg"));
         std::fs::write(&graph, g.to_text()).expect("write graph");
 
-        // `--threads` drives `solver_threads` in the binary, so > 1 puts
-        // every window on the parallel path where `search.job` lives.
+        // `--threads` drives `solver_threads` in the binary, so > 1 splits
+        // every window into subtree jobs, each behind `sched.job`.
         for threads in [2usize, 4] {
             let run = |tag: &str| {
                 let csv = dir.join(format!("case{case}_t{threads}_{tag}.csv"));
                 let out = std::process::Command::new(bin)
-                    .env("RTR_FAILPOINTS", "2:0.5:search.job")
+                    .env("RTR_FAILPOINTS", "2:0.5:sched.job")
                     .args([
                         "partition",
                         "--graph",
@@ -234,7 +234,7 @@ fn search_job_faults_are_deterministic_run_to_run() {
             );
         }
     }
-    assert!(degraded > 0, "no run tripped `search.job`; the harness is dead");
+    assert!(degraded > 0, "no run tripped `sched.job`; the harness is dead");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
