@@ -16,14 +16,9 @@ use rtr_trace::Instrument as _;
 use rtr_trace::{CancelFlag, Metric};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Times a panicking window solve or candidate bound is retried before its
-/// subtree is abandoned and recorded in [`Degradation`].
-const PANIC_RETRY_LIMIT: u32 = 2;
 
 /// `sched.job` failpoint namespace for phase-2 candidate batches, disjoint
 /// from the intra-window subtree batches (which use key namespace `0`) so
@@ -74,8 +69,9 @@ struct CandidateRun {
 /// retries ran out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LostSubtree {
-    /// The failpoint / panic site, e.g. `explore.window` or
-    /// `explore.candidate`.
+    /// The failpoint site that isolated the lost unit: `explore.window`
+    /// for a window solve, `sched.job` for a pooled candidate bound or a
+    /// window's subtree job.
     pub site: &'static str,
     /// Partition bound of the lost work.
     pub n: u32,
@@ -119,6 +115,12 @@ impl Degradation {
             && self.checkpoint_failures == 0
             && self.lost.is_empty()
             && !self.cancelled
+    }
+
+    /// Records one unit abandoned at `site` after its retries ran out.
+    fn lose(&mut self, site: &'static str, n: u32, iteration: u32) {
+        self.subtrees_lost += 1;
+        self.lost.push(LostSubtree { site, n, iteration });
     }
 
     /// Accumulates another account into this one (counters add, lost
@@ -884,33 +886,23 @@ impl<'g> TemporalPartitioner<'g> {
             // retried, then given up as a LimitReached window — the search
             // already treats undecided windows as "no improvement found",
             // so a lost window can only forgo improvements, never corrupt
-            // the result. The milp warm-start session is dropped on panic:
-            // it may have unwound mid-pivot.
-            let mut attempt = 0u32;
-            let (result, sol, stats) = loop {
-                let key =
-                    (u64::from(n) << 40) | (u64::from(iteration) << 8) | u64::from(attempt & 0xff);
-                let solved = catch_unwind(AssertUnwindSafe(|| {
-                    rtr_trace::failpoint::panic_if("explore.window", key);
-                    self.solve_window_in_session(n, d_max, d_min, hint, &mut session)
-                }));
-                match solved {
-                    Ok(outcome) => break outcome?,
-                    Err(_) => {
-                        degradation.panics_caught += 1;
-                        session = None;
-                        if attempt >= PANIC_RETRY_LIMIT {
-                            degradation.subtrees_lost += 1;
-                            degradation.lost.push(LostSubtree {
-                                site: "explore.window",
-                                n,
-                                iteration,
-                            });
-                            break (IterationResult::LimitReached, None, WindowStats::default());
-                        }
-                        attempt += 1;
-                        degradation.jobs_retried += 1;
-                    }
+            // the result. An attempt owns the milp warm-start session and
+            // hands it back only when it returns, so a session that may
+            // have unwound mid-pivot is dropped.
+            let key = (u64::from(n) << 40) | (u64::from(iteration) << 8);
+            let (solved, panics) = rtr_trace::failpoint::isolate("explore.window", key, || {
+                let mut owned = session.take();
+                let outcome = self.solve_window_in_session(n, d_max, d_min, hint, &mut owned);
+                session = owned;
+                outcome
+            });
+            degradation.panics_caught += u64::from(panics);
+            degradation.jobs_retried += u64::from(panics.min(rtr_trace::failpoint::RETRY_LIMIT));
+            let (result, sol, stats) = match solved {
+                Some(outcome) => outcome?,
+                None => {
+                    degradation.lose("explore.window", n, iteration);
+                    (IterationResult::LimitReached, None, WindowStats::default())
                 }
             };
             let record = IterationRecord {
@@ -1051,10 +1043,11 @@ impl<'g> TemporalPartitioner<'g> {
         }
     }
 
-    /// Evaluates one phase-2 candidate bound with candidate-level panic
-    /// isolation (the `explore.candidate` site). Shared by the inline and the
-    /// pooled phase 2, so a degraded run reports the same [`Degradation`] at
-    /// every thread count.
+    /// Evaluates one phase-2 candidate bound: `Reduce_Latency` from the
+    /// phase-1 incumbent, its windows isolated exactly as in phase 1.
+    /// Shared by the inline and the pooled phase 2 (where `sched.job`
+    /// isolates the whole candidate), so a degraded run reports the same
+    /// [`Degradation`] at every thread count.
     fn run_candidate(
         &self,
         n: u32,
@@ -1065,44 +1058,8 @@ impl<'g> TemporalPartitioner<'g> {
     ) -> CandidateRun {
         let mut records = Vec::new();
         let mut degradation = Degradation::default();
-        let mut attempt = 0u32;
-        let result = loop {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                rtr_trace::failpoint::panic_if(
-                    "explore.candidate",
-                    (u64::from(n) << 8) | u64::from(attempt & 0xff),
-                );
-                self.reduce_latency_ctx(
-                    n,
-                    pivot,
-                    d_min,
-                    &mut records,
-                    observer,
-                    ctx,
-                    &mut degradation,
-                )
-            }));
-            match caught {
-                Ok(result) => break result,
-                Err(_) => {
-                    // Drop the aborted attempt's partial rows; the retry
-                    // regenerates them from iteration 1.
-                    records.clear();
-                    degradation.panics_caught += 1;
-                    if attempt >= PANIC_RETRY_LIMIT {
-                        degradation.subtrees_lost += 1;
-                        degradation.lost.push(LostSubtree {
-                            site: "explore.candidate",
-                            n,
-                            iteration: 0,
-                        });
-                        break Ok(None);
-                    }
-                    attempt += 1;
-                    degradation.jobs_retried += 1;
-                }
-            }
-        };
+        let result =
+            self.reduce_latency_ctx(n, pivot, d_min, &mut records, observer, ctx, &mut degradation);
         let (found, error) = match result {
             Ok(found) => (found, None),
             Err(error) => (None, Some(error)),
@@ -1298,13 +1255,8 @@ impl<'g> TemporalPartitioner<'g> {
             if let Some(s) = &r.stats.structured {
                 exploration.degradation.panics_caught += s.panics_caught;
                 exploration.degradation.jobs_retried += s.jobs_retried;
-                exploration.degradation.subtrees_lost += s.subtrees_lost;
                 for _ in 0..s.subtrees_lost {
-                    exploration.degradation.lost.push(LostSubtree {
-                        site: "sched.job",
-                        n: r.n,
-                        iteration: r.iteration,
-                    });
+                    exploration.degradation.lose("sched.job", r.n, r.iteration);
                 }
             }
         }
@@ -1534,12 +1486,7 @@ impl<'g> TemporalPartitioner<'g> {
         // deterministic as the faults themselves.
         for &idx in &report.lost {
             let mut degradation = Degradation::default();
-            degradation.subtrees_lost += 1;
-            degradation.lost.push(LostSubtree {
-                site: "sched.job",
-                n: candidates[idx],
-                iteration: 0,
-            });
+            degradation.lose("sched.job", candidates[idx], 0);
             runs[idx] = Some(CandidateRun {
                 records: Vec::new(),
                 found: None,

@@ -1529,7 +1529,7 @@ impl<'g> StructuredSolver<'g> {
     /// is exact, but *which* nodes it covers depends on scheduling, so
     /// limit-hit results are best-effort (exactly like wall-clock deadlines
     /// at one thread). A subtree job that panics is retried and, after
-    /// [`rtr_sched::SCHED_RETRY_LIMIT`] retries, abandoned by the
+    /// [`rtr_trace::failpoint::RETRY_LIMIT`] retries, abandoned by the
     /// scheduler and counted in [`SearchStats::subtrees_lost`].
     pub fn run_parallel(&self, threads: usize) -> (SearchOutcome, SearchStats) {
         self.search(crate::resolve_threads(threads))

@@ -30,6 +30,10 @@ use crate::model::{effective_bounds, Constraint, LinExpr, Model, Rel, VarId, Var
 const MAX_PROBES: usize = 64;
 /// Propagation rounds inside each tentative probe fix.
 const PROBE_ROUNDS: usize = 2;
+/// Fixpoint rounds of the main pass, and of the propagation after probing.
+const MAX_ROUNDS: usize = 8;
+/// Slack below which a bound change, a redundancy or a crossing is ignored.
+const TOL: f64 = 1e-9;
 
 /// Statistics of a presolve run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,8 +63,6 @@ pub enum PresolveOutcome {
 pub fn presolve(model: &Model) -> PresolveOutcome {
     let mut m = model.clone();
     let mut stats = PresolveStats::default();
-    const MAX_ROUNDS: usize = 8;
-    const TOL: f64 = 1e-9;
 
     // Effective (integrality-rounded) bounds, maintained locally.
     let mut lb: Vec<f64> = Vec::with_capacity(m.vars.len());
@@ -90,105 +92,26 @@ pub fn presolve(model: &Model) -> PresolveOutcome {
                 continue;
             }
             let terms = &normalized[ci];
-            // Row activity bounds.
-            let mut act_min = 0.0f64;
-            let mut act_max = 0.0f64;
-            for &(j, coef) in terms {
-                if coef > 0.0 {
-                    act_min += coef * lb[j];
-                    act_max += coef * ub[j];
-                } else {
-                    act_min += coef * ub[j];
-                    act_max += coef * lb[j];
-                }
+            let (act_min, act_max) = activity(terms, &lb, &ub);
+            if infeasible(c, act_min, act_max) {
+                return PresolveOutcome::Infeasible;
             }
-
-            // Infeasibility / redundancy.
-            match c.rel {
-                Rel::Le => {
-                    if act_min > c.rhs + TOL.max(1e-7 * c.rhs.abs()) {
-                        return PresolveOutcome::Infeasible;
-                    }
-                    if act_max <= c.rhs + TOL {
-                        alive[ci] = false;
-                        stats.removed_rows += 1;
-                        changed = true;
-                        continue;
-                    }
-                }
-                Rel::Ge => {
-                    if act_max < c.rhs - TOL.max(1e-7 * c.rhs.abs()) {
-                        return PresolveOutcome::Infeasible;
-                    }
-                    if act_min >= c.rhs - TOL {
-                        alive[ci] = false;
-                        stats.removed_rows += 1;
-                        changed = true;
-                        continue;
-                    }
-                }
-                Rel::Eq => {
-                    if act_min > c.rhs + TOL || act_max < c.rhs - TOL {
-                        return PresolveOutcome::Infeasible;
-                    }
-                }
+            let redundant = match c.rel {
+                Rel::Le => act_max <= c.rhs + TOL,
+                Rel::Ge => act_min >= c.rhs - TOL,
+                Rel::Eq => false,
+            };
+            if redundant {
+                alive[ci] = false;
+                stats.removed_rows += 1;
+                changed = true;
+                continue;
             }
-
-            // Bound tightening: treat Le/Eq as `expr <= rhs` and Ge/Eq as
-            // `expr >= rhs`, propagating onto each variable.
-            if act_min.is_finite() && matches!(c.rel, Rel::Le | Rel::Eq) {
-                for &(j, coef) in terms {
-                    // Residual minimum activity excluding j.
-                    let own_min = if coef > 0.0 { coef * lb[j] } else { coef * ub[j] };
-                    let residual = act_min - own_min;
-                    if coef > 0.0 {
-                        let implied = (c.rhs - residual) / coef;
-                        let implied = round_for(&m, j, implied, true);
-                        if implied < ub[j] - TOL {
-                            ub[j] = implied;
-                            stats.tightened_bounds += 1;
-                            changed = true;
-                        }
-                    } else {
-                        let implied = (c.rhs - residual) / coef;
-                        let implied = round_for(&m, j, implied, false);
-                        if implied > lb[j] + TOL {
-                            lb[j] = implied;
-                            stats.tightened_bounds += 1;
-                            changed = true;
-                        }
-                    }
-                    if lb[j] > ub[j] + TOL {
-                        return PresolveOutcome::Infeasible;
-                    }
-                }
-            }
-            if act_max.is_finite() && matches!(c.rel, Rel::Ge | Rel::Eq) {
-                for &(j, coef) in terms {
-                    let own_max = if coef > 0.0 { coef * ub[j] } else { coef * lb[j] };
-                    let residual = act_max - own_max;
-                    if coef > 0.0 {
-                        let implied = (c.rhs - residual) / coef;
-                        let implied = round_for(&m, j, implied, false);
-                        if implied > lb[j] + TOL {
-                            lb[j] = implied;
-                            stats.tightened_bounds += 1;
-                            changed = true;
-                        }
-                    } else {
-                        let implied = (c.rhs - residual) / coef;
-                        let implied = round_for(&m, j, implied, true);
-                        if implied < ub[j] - TOL {
-                            ub[j] = implied;
-                            stats.tightened_bounds += 1;
-                            changed = true;
-                        }
-                    }
-                    if lb[j] > ub[j] + TOL {
-                        return PresolveOutcome::Infeasible;
-                    }
-                }
-            }
+            let Some(tightened) = tighten(&m, c, terms, act_min, act_max, &mut lb, &mut ub) else {
+                return PresolveOutcome::Infeasible;
+            };
+            stats.tightened_bounds += tightened;
+            changed |= tightened > 0;
         }
 
         // Coefficient tightening (Savelsbergh): when a binary's coefficient
@@ -207,17 +130,7 @@ pub fn presolve(model: &Model) -> PresolveOutcome {
                 continue;
             }
             let b = m.constraints[ci].rhs;
-            let mut act_min = 0.0f64;
-            let mut act_max = 0.0f64;
-            for &(j, coef) in &normalized[ci] {
-                if coef > 0.0 {
-                    act_min += coef * lb[j];
-                    act_max += coef * ub[j];
-                } else {
-                    act_min += coef * ub[j];
-                    act_max += coef * lb[j];
-                }
-            }
+            let (act_min, act_max) = activity(&normalized[ci], &lb, &ub);
             // (term index, new coefficient, new right-hand side)
             let mut update: Option<(usize, f64, f64)> = None;
             for (idx, &(j, a)) in normalized[ci].iter().enumerate() {
@@ -292,7 +205,8 @@ pub fn presolve(model: &Model) -> PresolveOutcome {
             let mut phi = ub.to_vec();
             plo[j] = fix;
             phi[j] = fix;
-            propagate(&m, &normalized, &alive, &mut plo, &mut phi, PROBE_ROUNDS).map(|_| (plo, phi))
+            propagate(&m, &normalized, &alive, &mut plo, &mut phi, PROBE_ROUNDS)
+                .then_some((plo, phi))
         };
         match (probe(0.0, &lb, &ub), probe(1.0, &lb, &ub)) {
             (None, None) => return PresolveOutcome::Infeasible,
@@ -318,7 +232,7 @@ pub fn presolve(model: &Model) -> PresolveOutcome {
             }
         }
     }
-    if fixed_any && propagate(&m, &normalized, &alive, &mut lb, &mut ub, MAX_ROUNDS).is_none() {
+    if fixed_any && !propagate(&m, &normalized, &alive, &mut lb, &mut ub, MAX_ROUNDS) {
         return PresolveOutcome::Infeasible;
     }
 
@@ -337,7 +251,6 @@ pub fn presolve(model: &Model) -> PresolveOutcome {
     }
     let survivors: Vec<Constraint> =
         m.constraints.iter().zip(&alive).filter(|(_, &a)| a).map(|(c, _)| c.clone()).collect();
-    let _ = std::mem::take(&mut normalized);
     m.constraints = survivors;
     PresolveOutcome::Reduced(m, stats)
 }
@@ -348,10 +261,78 @@ fn is_unfixed_binary(m: &Model, j: usize, lb: &[f64], ub: &[f64]) -> bool {
     matches!(m.vars[j].kind, VarKind::Binary | VarKind::Integer) && lb[j] == 0.0 && ub[j] == 1.0
 }
 
-/// Activity-based bound propagation on working bound vectors, up to
-/// `rounds` sweeps. Returns `None` when a row proves infeasible under the
-/// bounds, otherwise `Some(changed_anything)`. Mirrors the tightening in
-/// [`presolve`] but mutates only `lb`/`ub`, which is what probing needs.
+/// A row's minimum and maximum activity under the working bounds.
+fn activity(terms: &[(usize, f64)], lb: &[f64], ub: &[f64]) -> (f64, f64) {
+    let mut act_min = 0.0f64;
+    let mut act_max = 0.0f64;
+    for &(j, coef) in terms {
+        if coef > 0.0 {
+            act_min += coef * lb[j];
+            act_max += coef * ub[j];
+        } else {
+            act_min += coef * ub[j];
+            act_max += coef * lb[j];
+        }
+    }
+    (act_min, act_max)
+}
+
+/// Whether row `c`'s best-case activity already violates it. An inequality
+/// gets a slack relative to its right-hand side; an equality gets [`TOL`].
+fn infeasible(c: &Constraint, act_min: f64, act_max: f64) -> bool {
+    let slack = TOL.max(1e-7 * c.rhs.abs());
+    match c.rel {
+        Rel::Le => act_min > c.rhs + slack,
+        Rel::Ge => act_max < c.rhs - slack,
+        Rel::Eq => act_min > c.rhs + TOL || act_max < c.rhs - TOL,
+    }
+}
+
+/// Activity-based bound tightening of one row: its `expr ≤ rhs` side
+/// (`Le`, `Eq`) bounds each variable through the minimum activity of the
+/// others, its `expr ≥ rhs` side (`Ge`, `Eq`) through their maximum, and
+/// integer bounds round inward. Returns the number of bounds tightened, or
+/// `None` when a bound pair crosses by more than [`TOL`].
+fn tighten(
+    m: &Model,
+    c: &Constraint,
+    terms: &[(usize, f64)],
+    act_min: f64,
+    act_max: f64,
+    lb: &mut [f64],
+    ub: &mut [f64],
+) -> Option<usize> {
+    let mut tightened = 0;
+    for (le, act) in [(true, act_min), (false, act_max)] {
+        let side = if le { c.rel != Rel::Ge } else { c.rel != Rel::Le };
+        if !side || !act.is_finite() {
+            continue;
+        }
+        for &(j, coef) in terms {
+            // The term bounds `j` from above when it pushes the row's
+            // activity towards the side's limit.
+            let upper = (coef > 0.0) == le;
+            let own = if upper { coef * lb[j] } else { coef * ub[j] };
+            let residual = act - own;
+            let implied = round_for(m, j, (c.rhs - residual) / coef, upper);
+            if upper && implied < ub[j] - TOL {
+                ub[j] = implied;
+                tightened += 1;
+            } else if !upper && implied > lb[j] + TOL {
+                lb[j] = implied;
+                tightened += 1;
+            }
+            if lb[j] > ub[j] + TOL {
+                return None;
+            }
+        }
+    }
+    Some(tightened)
+}
+
+/// Bound propagation on working bound vectors, up to `rounds` sweeps: the
+/// main pass's tightening without its row removal, which is what probing
+/// needs. Returns `false` when a row proves infeasible under the bounds.
 fn propagate(
     m: &Model,
     normalized: &[Vec<(usize, f64)>],
@@ -359,98 +340,27 @@ fn propagate(
     lb: &mut [f64],
     ub: &mut [f64],
     rounds: usize,
-) -> Option<bool> {
-    const TOL: f64 = 1e-9;
-    let mut any = false;
+) -> bool {
     for _ in 0..rounds {
         let mut changed = false;
         for (ci, c) in m.constraints.iter().enumerate() {
             if !alive[ci] {
                 continue;
             }
-            let terms = &normalized[ci];
-            let mut act_min = 0.0f64;
-            let mut act_max = 0.0f64;
-            for &(j, coef) in terms {
-                if coef > 0.0 {
-                    act_min += coef * lb[j];
-                    act_max += coef * ub[j];
-                } else {
-                    act_min += coef * ub[j];
-                    act_max += coef * lb[j];
-                }
+            let (act_min, act_max) = activity(&normalized[ci], lb, ub);
+            if infeasible(c, act_min, act_max) {
+                return false;
             }
-            let slack_tol = TOL.max(1e-7 * c.rhs.abs());
-            match c.rel {
-                Rel::Le => {
-                    if act_min > c.rhs + slack_tol {
-                        return None;
-                    }
-                }
-                Rel::Ge => {
-                    if act_max < c.rhs - slack_tol {
-                        return None;
-                    }
-                }
-                Rel::Eq => {
-                    if act_min > c.rhs + TOL || act_max < c.rhs - TOL {
-                        return None;
-                    }
-                }
-            }
-            if act_min.is_finite() && matches!(c.rel, Rel::Le | Rel::Eq) {
-                for &(j, coef) in terms {
-                    let own_min = if coef > 0.0 { coef * lb[j] } else { coef * ub[j] };
-                    let residual = act_min - own_min;
-                    let implied = (c.rhs - residual) / coef;
-                    if coef > 0.0 {
-                        let implied = round_for(m, j, implied, true);
-                        if implied < ub[j] - TOL {
-                            ub[j] = implied;
-                            changed = true;
-                        }
-                    } else {
-                        let implied = round_for(m, j, implied, false);
-                        if implied > lb[j] + TOL {
-                            lb[j] = implied;
-                            changed = true;
-                        }
-                    }
-                    if lb[j] > ub[j] + TOL {
-                        return None;
-                    }
-                }
-            }
-            if act_max.is_finite() && matches!(c.rel, Rel::Ge | Rel::Eq) {
-                for &(j, coef) in terms {
-                    let own_max = if coef > 0.0 { coef * ub[j] } else { coef * lb[j] };
-                    let residual = act_max - own_max;
-                    let implied = (c.rhs - residual) / coef;
-                    if coef > 0.0 {
-                        let implied = round_for(m, j, implied, false);
-                        if implied > lb[j] + TOL {
-                            lb[j] = implied;
-                            changed = true;
-                        }
-                    } else {
-                        let implied = round_for(m, j, implied, true);
-                        if implied < ub[j] - TOL {
-                            ub[j] = implied;
-                            changed = true;
-                        }
-                    }
-                    if lb[j] > ub[j] + TOL {
-                        return None;
-                    }
-                }
+            match tighten(m, c, &normalized[ci], act_min, act_max, lb, ub) {
+                Some(tightened) => changed |= tightened > 0,
+                None => return false,
             }
         }
-        any |= changed;
         if !changed {
             break;
         }
     }
-    Some(any)
+    true
 }
 
 /// Rounds an implied bound inward for integer variables.

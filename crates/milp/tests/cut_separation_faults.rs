@@ -37,7 +37,7 @@ static REGISTRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn faulted_separation_degrades_gracefully() {
-    let _serial = REGISTRY_LOCK.lock().unwrap();
+    let _serial = REGISTRY_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let model = fractional_knapsack();
     let opts = SolveOptions::optimal();
 
@@ -83,7 +83,7 @@ fn faulted_separation_degrades_gracefully() {
 fn faulted_separation_is_deterministic() {
     // The trip decision is a pure function of (seed, site, round): two
     // identically-configured solves produce identical statistics.
-    let _serial = REGISTRY_LOCK.lock().unwrap();
+    let _serial = REGISTRY_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let model = fractional_knapsack();
     let opts = SolveOptions::optimal();
     install(FailpointConfig { seed: 7, rate: 0.5, sites: site() });

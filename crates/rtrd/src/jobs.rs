@@ -21,12 +21,12 @@
 //! ## Workers and faults
 //!
 //! A fixed pool of worker threads drains the queue in submit order. Each
-//! job run is wrapped in `catch_unwind` with the `rtrd.worker` failpoint
-//! inside: an injected panic is caught and the job retried (fresh, same
-//! request) up to [`WORKER_RETRY_LIMIT`] times before it fails — one
-//! tenant's crash never takes down the worker, the service, or another
-//! job. The `rtrd.admission` site deterministically injects rejections to
-//! drill the backpressure path.
+//! job runs through [`isolate`] at the `rtrd.worker` failpoint: a panic is
+//! caught and the job retried (fresh, same request) up to
+//! [`RETRY_LIMIT`](rtr_trace::failpoint::RETRY_LIMIT) times before it
+//! fails — one tenant's crash never takes down the worker, the service, or
+//! another job. The `rtrd.admission` site deterministically injects
+//! rejections to drill the backpressure path.
 //!
 //! ## Cache path
 //!
@@ -39,18 +39,15 @@ use crate::cache::{Lookup, SolveCache};
 use crate::request::JobRequest;
 use rtr_core::checkpoint::{Checkpoint, CheckpointPolicy};
 use rtr_core::{Exploration, TemporalPartitioner};
+use rtr_trace::failpoint::isolate;
 use rtr_trace::{CancelFlag, Escaped, Metric};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
-
-/// Times a panicking job is retried before it is marked failed.
-pub const WORKER_RETRY_LIMIT: u32 = 2;
 
 /// Retry-after hint returned with queue-full rejections, in milliseconds.
 pub const RETRY_AFTER_MS: u64 = 500;
@@ -364,27 +361,11 @@ impl JobTable {
                 }
             })
         });
-        let mut attempt: u32 = 0;
-        let state = loop {
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                // Failpoint: keyed by (job, attempt) so a retried job draws
-                // a fresh deterministic decision.
-                rtr_trace::failpoint::panic_if("rtrd.worker", (id << 8) | u64::from(attempt));
-                self.run_job(&request, fingerprint)
-            }));
-            match run {
-                Ok(state) => break state,
-                Err(_) if attempt < WORKER_RETRY_LIMIT => attempt += 1,
-                Err(_) => {
-                    break JobState::Failed {
-                        error: format!(
-                            "worker panicked {} times; job abandoned",
-                            WORKER_RETRY_LIMIT + 1
-                        ),
-                    }
-                }
-            }
-        };
+        let (state, panics) =
+            isolate("rtrd.worker", id << 8, || self.run_job(&request, fingerprint));
+        let state = state.unwrap_or_else(|| JobState::Failed {
+            error: format!("worker panicked {panics} times; job abandoned"),
+        });
         drop(finished);
         if let Some(handle) = watchdog {
             let _ = handle.join();

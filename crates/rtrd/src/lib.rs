@@ -63,7 +63,7 @@ pub mod request;
 pub mod signal;
 
 pub use cache::{Lookup, RecoveryReport, SolveCache};
-pub use jobs::{JobState, JobTable, SubmitError, RETRY_AFTER_MS, WORKER_RETRY_LIMIT};
+pub use jobs::{JobState, JobTable, SubmitError, RETRY_AFTER_MS};
 pub use request::{JobRequest, RequestError};
 
 use std::io;

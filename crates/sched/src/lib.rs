@@ -30,9 +30,9 @@
 //!   no ordering promises to results; callers own a result slot per job
 //!   index and merge in ascending index order, which is what keeps
 //!   results bit-identical to the sequential path at any thread count.
-//! * **Panic isolation with bounded retries.** Each job runs under
-//!   `catch_unwind` behind the `sched.job` failpoint; a job is retried up
-//!   to [`SCHED_RETRY_LIMIT`] times and then reported lost in the
+//! * **Panic isolation with bounded retries.** Each job runs through
+//!   [`rtr_trace::failpoint::isolate`] at the `sched.job` failpoint; a job
+//!   is retried up to [`RETRY_LIMIT`] times and then reported lost in the
 //!   [`BatchReport`], which is a pure function of the job list under
 //!   seeded fault injection.
 //!
@@ -49,15 +49,11 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
+use rtr_trace::failpoint::{isolate, RETRY_LIMIT};
 use rtr_trace::status::{board, Metric};
-
-/// A job that panics on every attempt is abandoned after this many
-/// retries (matching the per-layer `PANIC_RETRY_LIMIT` it replaces).
-pub const SCHED_RETRY_LIMIT: u32 = 2;
 
 thread_local! {
     /// `(pool, participant ordinal)` while this thread participates in a
@@ -70,7 +66,7 @@ thread_local! {
 }
 
 /// What happened to a batch: panic-isolation totals plus the ascending
-/// indices of jobs abandoned after [`SCHED_RETRY_LIMIT`] retries. Under
+/// indices of jobs abandoned after [`RETRY_LIMIT`] retries. Under
 /// seeded `sched.job` fault injection this is a pure function of the job
 /// list (index, attempt, and the caller's `fail_key` — never of which
 /// thread ran what).
@@ -78,7 +74,7 @@ thread_local! {
 pub struct BatchReport {
     /// Panics caught across all attempts of all jobs.
     pub panics_caught: u64,
-    /// Retries performed (a lost job contributes `SCHED_RETRY_LIMIT`).
+    /// Retries performed (a lost job contributes `RETRY_LIMIT`).
     pub jobs_retried: u64,
     /// Ascending indices of jobs whose every attempt panicked.
     pub lost: Vec<usize>,
@@ -282,7 +278,7 @@ impl Pool {
     /// the pool, and block (helping: the caller executes queued jobs,
     /// possibly from other batches, while it waits) until all have
     /// finished. Panicking jobs are caught, retried up to
-    /// [`SCHED_RETRY_LIMIT`] times, then abandoned and listed in the
+    /// [`RETRY_LIMIT`] times, then abandoned and listed in the
     /// report. `fail_key` namespaces the `sched.job` failpoint so
     /// distinct batch kinds draw distinct fault decisions.
     ///
@@ -406,31 +402,19 @@ impl Pool {
     fn execute(&self, batch: &BatchShared, index: usize) {
         let depth = EXEC_DEPTH.with(Cell::get);
         EXEC_DEPTH.with(|d| d.set(depth + 1));
-        let mut attempt: u32 = 0;
-        loop {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                rtr_trace::failpoint::panic_if(
-                    "sched.job",
-                    batch.fail_key ^ (((index as u64) << 8) | u64::from(attempt)),
-                );
-                // SAFETY: `data` is the erased closure `call` was
-                // monomorphized for, alive until the batch finishes.
-                unsafe { (batch.call)(batch.data, index) };
-            }));
-            match outcome {
-                Ok(()) => break,
-                Err(_) => {
-                    let mut account = batch.account.lock().unwrap_or_else(PoisonError::into_inner);
-                    account.panics_caught += 1;
-                    if attempt >= SCHED_RETRY_LIMIT {
-                        account.lost.push(index);
-                        drop(account);
-                        bump(&self.counters.lost_jobs, Metric::SchedLostJobs);
-                        break;
-                    }
-                    account.jobs_retried += 1;
-                    attempt += 1;
-                }
+        let (done, panics) = isolate("sched.job", batch.fail_key ^ ((index as u64) << 8), || {
+            // SAFETY: `data` is the erased closure `call` was
+            // monomorphized for, alive until the batch finishes.
+            unsafe { (batch.call)(batch.data, index) }
+        });
+        if panics > 0 {
+            let mut account = batch.account.lock().unwrap_or_else(PoisonError::into_inner);
+            account.panics_caught += u64::from(panics);
+            account.jobs_retried += u64::from(panics.min(RETRY_LIMIT));
+            if done.is_none() {
+                account.lost.push(index);
+                drop(account);
+                bump(&self.counters.lost_jobs, Metric::SchedLostJobs);
             }
         }
         EXEC_DEPTH.with(|d| d.set(depth));

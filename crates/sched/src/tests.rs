@@ -2,7 +2,7 @@
 //! merge-discipline, isolation and wake-up properties the solver layers
 //! rely on.
 
-use super::{BatchReport, Pool, SCHED_RETRY_LIMIT};
+use super::{BatchReport, Pool, RETRY_LIMIT};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -85,7 +85,7 @@ fn helper_claims_nested_batch_from_the_top() {
 }
 
 /// Panic isolation: a job that always panics is retried
-/// `SCHED_RETRY_LIMIT` times then reported lost; the rest of the batch
+/// `RETRY_LIMIT` times then reported lost; the rest of the batch
 /// completes, and the report is identical at every thread count.
 #[test]
 fn poisoned_job_is_retried_then_lost_deterministically() {
@@ -104,8 +104,8 @@ fn poisoned_job_is_retried_then_lost_deterministically() {
         });
         assert_eq!(done.load(Ordering::Relaxed), JOBS - 1, "{threads} threads");
         assert_eq!(report.lost, vec![POISON]);
-        assert_eq!(report.panics_caught, u64::from(SCHED_RETRY_LIMIT) + 1);
-        assert_eq!(report.jobs_retried, u64::from(SCHED_RETRY_LIMIT));
+        assert_eq!(report.panics_caught, u64::from(RETRY_LIMIT) + 1);
+        assert_eq!(report.jobs_retried, u64::from(RETRY_LIMIT));
         reports.push(report);
     }
     for r in &reports[1..] {

@@ -28,7 +28,7 @@
 //! uses for seeded workloads, inlined here so this crate stays
 //! dependency-free.
 
-use std::panic::panic_any;
+use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -175,12 +175,43 @@ pub fn failpoint(site: &str, key: u64) -> bool {
 }
 
 /// Panics with an [`InjectedFault`] payload if the fault at `site`
-/// should trip for this visit. Callers isolate the panic with
-/// `catch_unwind` and may downcast the payload to confirm its origin.
+/// should trip for this visit. [`isolate`] catches the panic; a handler
+/// may downcast the payload to confirm its origin.
 pub fn panic_if(site: &'static str, key: u64) {
     if failpoint(site, key) {
         panic_any(InjectedFault { site });
     }
+}
+
+/// Times [`isolate`] retries a unit whose every attempt panics before it
+/// gives the unit up.
+pub const RETRY_LIMIT: u32 = 2;
+
+/// Runs one isolated unit of work: `attempt` under `catch_unwind`, up to
+/// `RETRY_LIMIT + 1` times, each try preceded by a visit to `site` with
+/// key `key ^ try` (so a retried unit draws a fresh decision; callers keep
+/// the low byte of `key` zero). Returns the first value an attempt
+/// returned without panicking (`None` once every attempt panicked) and the
+/// number of panics caught. An attempt that unwinds leaves whatever state
+/// it borrowed mid-update, so `attempt` must not rely on state a previous
+/// attempt could have left half-written.
+pub fn isolate<R>(
+    site: &'static str,
+    key: u64,
+    mut attempt: impl FnMut() -> R,
+) -> (Option<R>, u32) {
+    let mut panics = 0;
+    while panics <= RETRY_LIMIT {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            panic_if(site, key ^ u64::from(panics));
+            attempt()
+        }));
+        match run {
+            Ok(value) => return (Some(value), panics),
+            Err(_) => panics += 1,
+        }
+    }
+    (None, panics)
 }
 
 /// Installs a process-wide panic hook that suppresses the default
@@ -261,6 +292,39 @@ mod tests {
         assert!(!failpoint("other.site", 0));
         clear();
         assert!(!failpoint("only.this", 0));
+    }
+
+    #[test]
+    fn isolate_retries_up_to_the_limit() {
+        let _guard = global_lock();
+        silence_injected_panics();
+        install(FailpointConfig { seed: 5, rate: 0.0, sites: vec!["isolate.unit".into()] });
+        assert_eq!(isolate("isolate.unit", 0, || 7), (Some(7), 0));
+
+        install(FailpointConfig { seed: 5, rate: 1.0, sites: vec!["isolate.unit".into()] });
+        let mut calls = 0;
+        let lost = isolate("isolate.unit", 0, || calls += 1);
+        assert_eq!(lost, (None, RETRY_LIMIT + 1));
+        assert_eq!(calls, 0, "an injected fault trips before the attempt runs");
+        clear();
+
+        let mut calls = 0;
+        let lost = isolate("isolate.unit", 0, || {
+            calls += 1;
+            panic_any(InjectedFault { site: "isolate.unit" })
+        });
+        assert_eq!(lost, (None::<()>, RETRY_LIMIT + 1));
+        assert_eq!(calls, RETRY_LIMIT + 1);
+
+        let mut calls = 0;
+        let once = isolate("isolate.unit", 0, || {
+            calls += 1;
+            if calls == 1 {
+                panic_any(InjectedFault { site: "isolate.unit" });
+            }
+            calls
+        });
+        assert_eq!(once, (Some(2), 1));
     }
 
     #[test]

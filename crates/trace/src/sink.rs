@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_emission_is_a_noop() {
-        let _g = GUARD.lock().unwrap();
+        let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         uninstall();
         assert!(!enabled());
         counter("x", 1);
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn install_uninstall_round_trip() {
-        let _g = GUARD.lock().unwrap();
+        let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let sink = Arc::new(MemorySink::new());
         assert!(install(sink.clone()).is_none());
         assert!(enabled());
@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn capture_diverts_this_threads_events_and_forwards_on_dispatch_all() {
-        let _g = GUARD.lock().unwrap();
+        let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let sink = Arc::new(MemorySink::new());
         install(sink.clone());
         counter("before", 1);
@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn capture_nests_and_is_empty_when_disabled() {
-        let _g = GUARD.lock().unwrap();
+        let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         uninstall();
         let ((), events) = capture(|| counter("ghost", 1));
         assert!(events.is_empty(), "disabled tracing captures nothing");
@@ -427,7 +427,7 @@ mod tests {
 
     #[test]
     fn a_panic_in_a_nested_capture_leaves_the_outer_capture_intact() {
-        let _g = GUARD.lock().unwrap();
+        let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         let sink = Arc::new(MemorySink::new());
         install(sink.clone());
         let ((), outer) = capture(|| {
@@ -450,7 +450,7 @@ mod tests {
 
     #[test]
     fn spans_created_while_disabled_stay_silent_after_enable() {
-        let _g = GUARD.lock().unwrap();
+        let _g = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
         uninstall();
         let quiet = span("pre");
         let sink = Arc::new(MemorySink::new());

@@ -6,14 +6,14 @@ use rtr_trace::{
     counter, event, gauge, install, parse_jsonl, span, uninstall, JsonlSink, MemorySink, RunReport,
     Value,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Serializes tests that touch the process-global sink.
 static GUARD: Mutex<()> = Mutex::new(());
 
 #[test]
 fn jsonl_file_round_trips_into_a_report() {
-    let _guard = GUARD.lock().unwrap();
+    let _guard = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
     let path = std::env::temp_dir().join(format!("rtr_trace_rt_{}.jsonl", std::process::id()));
 
     let sink = JsonlSink::create(&path).expect("temp file");
@@ -57,7 +57,7 @@ fn jsonl_file_round_trips_into_a_report() {
 
 #[test]
 fn nothing_is_recorded_without_a_sink() {
-    let _guard = GUARD.lock().unwrap();
+    let _guard = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
     assert!(!rtr_trace::enabled());
     // All emission paths must be safe no-ops.
     counter("orphan", 1);
@@ -70,7 +70,7 @@ fn nothing_is_recorded_without_a_sink() {
 
 #[test]
 fn concurrent_emission_is_lossless() {
-    let _guard = GUARD.lock().unwrap();
+    let _guard = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 250;
 

@@ -22,12 +22,12 @@
 
 use rtrpart::graph::{Area, Latency};
 use rtrpart::trace::failpoint::{self, FailpointConfig};
-use rtrpart::workloads::random::{random_layered, RandomGraphParams};
-use rtrpart::workloads::rng::Rng;
-use rtrpart::{
-    validate_solution, Architecture, Backend, ExploreParams, SearchLimits, TemporalPartitioner,
-};
+use rtrpart::workloads::random::random_layered;
+use rtrpart::{validate_solution, Architecture, Backend, ExploreParams, TemporalPartitioner};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+mod common;
+use common::{deterministic_params, instance};
 
 /// Serializes tests that install process-global failpoint configurations.
 fn registry_lock() -> MutexGuard<'static, ()> {
@@ -43,45 +43,6 @@ impl Drop for ClearOnDrop {
     }
 }
 
-struct Instance {
-    seed: u64,
-    gp: RandomGraphParams,
-    cap: u64,
-    mem: u64,
-    ct: f64,
-}
-
-/// Same scheme as `tests/parallel_determinism.rs` (the salt decorrelates
-/// the streams).
-fn instance(salt: u64, case: u64) -> Instance {
-    let mut r = Rng::new(salt.wrapping_mul(0x9e37_79b9).wrapping_add(case));
-    Instance {
-        seed: r.next_u64(),
-        gp: RandomGraphParams {
-            tasks: r.range_usize(2, 9),
-            max_layer_width: r.range_usize(1, 3),
-            design_points: (1, 3),
-            area_range: (20, 60),
-            latency_range: (50.0, 600.0),
-            data_range: (1, 3),
-            ..Default::default()
-        },
-        cap: r.range_u64(60, 239),
-        mem: r.range_u64(8, 63),
-        ct: r.range_f64(10.0, 100_000.0),
-    }
-}
-
-fn deterministic_params() -> ExploreParams {
-    ExploreParams {
-        delta: Latency::from_ns(100.0),
-        gamma: 2,
-        limits: SearchLimits { node_limit: 300_000, time_limit: None },
-        time_budget: None,
-        ..Default::default()
-    }
-}
-
 fn config(seed: u64, rate: f64, sites: &[&str]) -> FailpointConfig {
     FailpointConfig { seed, rate, sites: sites.iter().map(|s| s.to_string()).collect() }
 }
@@ -94,7 +55,7 @@ fn run_matrix_with(cfg: FailpointConfig, threads: usize, solver_threads: usize) 
         let inst = instance(31, case);
         let g = random_layered(inst.seed, &inst.gp);
         let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(inst.ct));
-        let params = ExploreParams { solver_threads, ..deterministic_params() };
+        let params = deterministic_params(solver_threads);
         let Ok(part) = TemporalPartitioner::new(&g, &arch, params) else { continue };
         failpoint::install(cfg.clone());
         let result = if threads <= 1 { part.explore() } else { part.explore_parallel(threads) };
@@ -141,24 +102,24 @@ fn candidate_panics_degrade_but_never_escape() {
     failpoint::silence_injected_panics();
     // Phase-2 candidates only run when relaxation is worthwhile, so this
     // matrix pins a tiny reconfiguration time (relaxing N stays cheap) and
-    // widens gamma; the generic matrix rarely merges any candidate.
-    let cfg = config(11, 0.5, &["explore.candidate"]);
+    // widens gamma; the generic matrix rarely merges any candidate. With
+    // one solver thread the candidates are the 4-thread pool's only jobs,
+    // so every `sched.job` fault hits a candidate bound.
+    let cfg = config(7, 0.5, &["sched.job"]);
     let mut degraded = 0u64;
     for case in 0..16u64 {
         let inst = instance(31, case);
         let g = random_layered(inst.seed, &inst.gp);
         let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(10.0));
-        let params = ExploreParams { gamma: 4, ..deterministic_params() };
+        let params = ExploreParams { gamma: 4, ..deterministic_params(1) };
         let Ok(part) = TemporalPartitioner::new(&g, &arch, params) else { continue };
-        for threads in [1usize, 4] {
-            failpoint::install(cfg.clone());
-            let result = if threads <= 1 { part.explore() } else { part.explore_parallel(threads) };
-            failpoint::clear();
-            let Ok(ex) = result else { continue };
-            degraded += u64::from(ex.degradation.subtrees_lost > 0);
-            if let Some(best) = &ex.best {
-                assert!(validate_solution(&g, &arch, best).is_empty(), "case {case}");
-            }
+        failpoint::install(cfg.clone());
+        let result = part.explore_parallel(4);
+        failpoint::clear();
+        let Ok(ex) = result else { continue };
+        degraded += u64::from(ex.degradation.subtrees_lost > 0);
+        if let Some(best) = &ex.best {
+            assert!(validate_solution(&g, &arch, best).is_empty(), "case {case}");
         }
     }
     assert!(degraded > 0, "rate 0.5 never tripped a merged candidate; harness is dead");
@@ -180,16 +141,17 @@ fn all_panic_sites_at_full_rate_still_return() {
     let _guard = registry_lock();
     let _clear = ClearOnDrop;
     failpoint::silence_injected_panics();
-    // Rate 1.0 everywhere: every window, candidate, and job dies on every
-    // attempt. The exploration must still return (typically with nothing
-    // feasible and a heavy degradation report), not hang or abort.
+    // Rate 1.0 everywhere: every window and every pool job (candidate or
+    // subtree) dies on every attempt. The exploration must still return
+    // (typically with nothing feasible and a heavy degradation report), not
+    // hang or abort.
     for threads in [1usize, 4] {
         let inst = instance(31, 0);
         let g = random_layered(inst.seed, &inst.gp);
         let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(inst.ct));
-        let params = ExploreParams { solver_threads: 2, ..deterministic_params() };
+        let params = deterministic_params(2);
         let part = TemporalPartitioner::new(&g, &arch, params).unwrap();
-        failpoint::install(config(17, 1.0, &["explore.window", "explore.candidate", "sched.job"]));
+        failpoint::install(config(17, 1.0, &["explore.window", "sched.job"]));
         let result = if threads <= 1 { part.explore() } else { part.explore_parallel(threads) };
         failpoint::clear();
         let ex = result.expect("total fault injection still returns an exploration");
@@ -216,7 +178,7 @@ fn outcome_invariant_sites_leave_results_bit_identical() {
             let inst = instance(37, case);
             let g = random_layered(inst.seed, &inst.gp);
             let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(inst.ct));
-            let params = ExploreParams { backend, ..deterministic_params() };
+            let params = ExploreParams { backend, ..deterministic_params(1) };
             let Ok(part) = TemporalPartitioner::new(&g, &arch, params) else { continue };
             failpoint::clear();
             let clean = part.explore().unwrap();
@@ -242,12 +204,12 @@ fn degradation_reports_are_deterministic_across_thread_counts() {
     let _guard = registry_lock();
     let _clear = ClearOnDrop;
     failpoint::silence_injected_panics();
-    let cfg = config(41, 0.4, &["explore.window", "explore.candidate"]);
+    let cfg = config(41, 0.4, &["explore.window"]);
     for case in 0..8u64 {
         let inst = instance(43, case);
         let g = random_layered(inst.seed, &inst.gp);
         let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(inst.ct));
-        let Ok(part) = TemporalPartitioner::new(&g, &arch, deterministic_params()) else {
+        let Ok(part) = TemporalPartitioner::new(&g, &arch, deterministic_params(1)) else {
             continue;
         };
         failpoint::install(cfg.clone());

@@ -10,55 +10,16 @@
 //! deadline tests at the bottom.
 
 use rtrpart::graph::{Area, Latency};
-use rtrpart::workloads::random::{random_layered, RandomGraphParams};
-use rtrpart::workloads::rng::Rng;
-use rtrpart::{validate_solution, Architecture, ExploreParams, SearchLimits, TemporalPartitioner};
+use rtrpart::workloads::random::random_layered;
+use rtrpart::{validate_solution, Architecture, ExploreParams, TemporalPartitioner};
 use std::process::Command;
 use std::time::Duration;
 
+mod common;
+use common::{deterministic_params, instance};
+
 const CASES: u64 = 24;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-struct Instance {
-    seed: u64,
-    gp: RandomGraphParams,
-    cap: u64,
-    mem: u64,
-    ct: f64,
-}
-
-/// One deterministic random instance per case index (same scheme as
-/// `tests/property_based.rs`; the salt decorrelates the streams).
-fn instance(salt: u64, case: u64) -> Instance {
-    let mut r = Rng::new(salt.wrapping_mul(0x9e37_79b9).wrapping_add(case));
-    Instance {
-        seed: r.next_u64(),
-        gp: RandomGraphParams {
-            tasks: r.range_usize(2, 9),
-            max_layer_width: r.range_usize(1, 3),
-            design_points: (1, 3),
-            area_range: (20, 60),
-            latency_range: (50.0, 600.0),
-            data_range: (1, 3),
-            ..Default::default()
-        },
-        cap: r.range_u64(60, 239),
-        mem: r.range_u64(8, 63),
-        ct: r.range_f64(10.0, 100_000.0),
-    }
-}
-
-/// Deterministic exploration parameters: node limit only, no deadlines.
-/// `gamma = 2` widens phase 2 so several candidate bounds actually fan out.
-fn deterministic_params() -> ExploreParams {
-    ExploreParams {
-        delta: Latency::from_ns(100.0),
-        gamma: 2,
-        limits: SearchLimits { node_limit: 300_000, time_limit: None },
-        time_budget: None,
-        ..Default::default()
-    }
-}
 
 #[test]
 fn parallel_output_is_bit_identical_across_thread_counts() {
@@ -67,7 +28,7 @@ fn parallel_output_is_bit_identical_across_thread_counts() {
         let inst = instance(11, case);
         let g = random_layered(inst.seed, &inst.gp);
         let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(inst.ct));
-        let Ok(part) = TemporalPartitioner::new(&g, &arch, deterministic_params()) else {
+        let Ok(part) = TemporalPartitioner::new(&g, &arch, deterministic_params(1)) else {
             continue;
         };
         let sequential = part.explore().unwrap();
@@ -104,7 +65,7 @@ fn auto_thread_count_matches_sequential() {
         let inst = instance(12, case);
         let g = random_layered(inst.seed, &inst.gp);
         let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(inst.ct));
-        let Ok(part) = TemporalPartitioner::new(&g, &arch, deterministic_params()) else {
+        let Ok(part) = TemporalPartitioner::new(&g, &arch, deterministic_params(1)) else {
             continue;
         };
         let sequential = part.explore().unwrap();
@@ -126,7 +87,7 @@ fn merged_trace_stream_matches_sequential() {
     let inst = instance(11, 0);
     let g = random_layered(inst.seed, &inst.gp);
     let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(inst.ct));
-    let part = TemporalPartitioner::new(&g, &arch, deterministic_params()).unwrap();
+    let part = TemporalPartitioner::new(&g, &arch, deterministic_params(1)).unwrap();
 
     // A sink must be installed for events to flow at all; `capture` then
     // diverts this thread's stream (including the merge's `dispatch_all`
@@ -195,7 +156,7 @@ fn fault_injected_runs_are_bit_identical_across_thread_counts() {
         let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(inst.ct));
         // Skip instances the partitioner rejects up front (task larger than
         // the device) — the binary would exit with an error, not explore.
-        if TemporalPartitioner::new(&g, &arch, deterministic_params()).is_err() {
+        if TemporalPartitioner::new(&g, &arch, deterministic_params(1)).is_err() {
             continue;
         }
         let graph = dir.join(format!("case{case}.tg"));
@@ -207,7 +168,7 @@ fn fault_injected_runs_are_bit_identical_across_thread_counts() {
         for threads in [1usize, 4, 8] {
             let csv = dir.join(format!("case{case}_t{threads}.csv"));
             let out = Command::new(bin)
-                .env("RTR_FAILPOINTS", "1:0.45:explore.window,explore.candidate")
+                .env("RTR_FAILPOINTS", "1:0.45:explore.window")
                 .args([
                     "partition",
                     "--graph",
@@ -280,7 +241,7 @@ fn deadline_yields_best_so_far(run: impl Fn(&TemporalPartitioner) -> rtrpart::Ex
         let inst = instance(13, case);
         let g = random_layered(inst.seed, &inst.gp);
         let arch = Architecture::new(Area::new(inst.cap), inst.mem, Latency::from_ns(inst.ct));
-        let params = ExploreParams { time_budget: Some(Duration::ZERO), ..deterministic_params() };
+        let params = ExploreParams { time_budget: Some(Duration::ZERO), ..deterministic_params(1) };
         let Ok(part) = TemporalPartitioner::new(&g, &arch, params) else { continue };
         let ex = run(&part);
         // Expired straight after the first bound: every record shares the

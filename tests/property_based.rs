@@ -4,43 +4,16 @@
 
 use rtrpart::graph::{Area, Latency};
 use rtrpart::workloads::random::{random_layered, RandomGraphParams};
-use rtrpart::workloads::rng::Rng;
 use rtrpart::{
     validate_solution, Architecture, EnvMemoryPolicy, ExploreParams, SearchLimits,
     TemporalPartitioner,
 };
 use std::time::Duration;
 
+mod common;
+use common::instance;
+
 const CASES: u64 = 48;
-
-struct Instance {
-    seed: u64,
-    gp: RandomGraphParams,
-    cap: u64,
-    mem: u64,
-    ct: f64,
-}
-
-/// One deterministic random instance per case index (`salt` decorrelates
-/// the streams between tests).
-fn instance(salt: u64, case: u64) -> Instance {
-    let mut r = Rng::new(salt.wrapping_mul(0x9e37_79b9).wrapping_add(case));
-    Instance {
-        seed: r.next_u64(),
-        gp: RandomGraphParams {
-            tasks: r.range_usize(2, 9),
-            max_layer_width: r.range_usize(1, 3),
-            design_points: (1, 3),
-            area_range: (20, 60),
-            latency_range: (50.0, 600.0),
-            data_range: (1, 3),
-            ..Default::default()
-        },
-        cap: r.range_u64(60, 239),
-        mem: r.range_u64(8, 63),
-        ct: r.range_f64(10.0, 100_000.0),
-    }
-}
 
 /// Every solution the exploration produces satisfies every constraint,
 /// and the simulator realizes exactly the analytic latency.

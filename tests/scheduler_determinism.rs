@@ -18,6 +18,9 @@ use rtrpart::workloads::rng::Rng;
 use rtrpart::{validate_solution, Architecture, ExploreParams, SearchLimits, TemporalPartitioner};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+mod common;
+use common::{instance, Instance};
+
 /// Thread counts the matrix sweeps; `0` resolves machine-dependently
 /// (`RTR_THREADS`, else CPU count) and must *still* match sequential.
 const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 0];
@@ -28,35 +31,6 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-struct Instance {
-    seed: u64,
-    gp: RandomGraphParams,
-    cap: u64,
-    mem: u64,
-    ct: f64,
-}
-
-/// One deterministic random instance per case index (same scheme as
-/// `tests/parallel_determinism.rs`; the salt decorrelates the streams).
-fn instance(salt: u64, case: u64) -> Instance {
-    let mut r = Rng::new(salt.wrapping_mul(0x9e37_79b9).wrapping_add(case));
-    Instance {
-        seed: r.next_u64(),
-        gp: RandomGraphParams {
-            tasks: r.range_usize(2, 9),
-            max_layer_width: r.range_usize(1, 3),
-            design_points: (1, 3),
-            area_range: (20, 60),
-            latency_range: (50.0, 600.0),
-            data_range: (1, 3),
-            ..Default::default()
-        },
-        cap: r.range_u64(60, 239),
-        mem: r.range_u64(8, 63),
-        ct: r.range_f64(10.0, 100_000.0),
-    }
 }
 
 /// Deterministic exploration parameters: node limit only, no deadlines.

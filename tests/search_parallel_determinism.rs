@@ -15,53 +15,14 @@ use rtrpart::core::structured::StructuredSolver;
 use rtrpart::core::SearchGoal;
 use rtrpart::graph::{Area, Latency};
 use rtrpart::workloads::dct::dct_4x4;
-use rtrpart::workloads::random::{random_layered, RandomGraphParams};
-use rtrpart::workloads::rng::Rng;
+use rtrpart::workloads::random::random_layered;
 use rtrpart::{validate_solution, Architecture, ExploreParams, SearchLimits, TemporalPartitioner};
+
+mod common;
+use common::{deterministic_params, instance};
 
 const CASES: u64 = 24;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-struct Instance {
-    seed: u64,
-    gp: RandomGraphParams,
-    cap: u64,
-    mem: u64,
-    ct: f64,
-}
-
-/// One deterministic random instance per case index (same scheme as
-/// `tests/parallel_determinism.rs`; the salt decorrelates the streams).
-fn instance(salt: u64, case: u64) -> Instance {
-    let mut r = Rng::new(salt.wrapping_mul(0x9e37_79b9).wrapping_add(case));
-    Instance {
-        seed: r.next_u64(),
-        gp: RandomGraphParams {
-            tasks: r.range_usize(2, 9),
-            max_layer_width: r.range_usize(1, 3),
-            design_points: (1, 3),
-            area_range: (20, 60),
-            latency_range: (50.0, 600.0),
-            data_range: (1, 3),
-            ..Default::default()
-        },
-        cap: r.range_u64(60, 239),
-        mem: r.range_u64(8, 63),
-        ct: r.range_f64(10.0, 100_000.0),
-    }
-}
-
-/// Deterministic exploration parameters: node limit only, no deadlines.
-fn deterministic_params(solver_threads: usize) -> ExploreParams {
-    ExploreParams {
-        delta: Latency::from_ns(100.0),
-        gamma: 2,
-        limits: SearchLimits { node_limit: 300_000, time_limit: None },
-        time_budget: None,
-        solver_threads,
-        ..Default::default()
-    }
-}
 
 #[test]
 fn intra_window_exploration_is_bit_identical_across_thread_counts() {

@@ -11,7 +11,7 @@ use rtrpart::{
     Architecture, Backend, Exploration, ExploreParams, IterationResult, SearchLimits,
     TemporalPartitioner,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Serializes tests that touch the process-global sink.
 static GUARD: Mutex<()> = Mutex::new(());
@@ -40,7 +40,7 @@ fn fingerprint(ex: &Exploration) -> impl PartialEq + std::fmt::Debug {
 /// uninstrumented run: instrumentation observes, never steers.
 #[test]
 fn tracing_does_not_perturb_exploration() {
-    let _guard = GUARD.lock().unwrap();
+    let _guard = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
     let graph = dct_4x4();
     let arch = Architecture::new(Area::new(1024), 512, Latency::from_us(1.0));
 
@@ -65,7 +65,7 @@ fn tracing_does_not_perturb_exploration() {
 /// `search.iteration` event per observed record.
 #[test]
 fn observer_and_trace_agree_on_iterations() {
-    let _guard = GUARD.lock().unwrap();
+    let _guard = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
     let graph = dct_4x4();
     let arch = Architecture::new(Area::new(1024), 512, Latency::from_us(1.0));
     let part = TemporalPartitioner::new(&graph, &arch, deterministic_params()).expect("tasks fit");
@@ -113,7 +113,7 @@ fn observer_and_trace_agree_on_iterations() {
 /// accumulation over the exploration.
 #[test]
 fn milp_trace_totals_match_solve_stats() {
-    let _guard = GUARD.lock().unwrap();
+    let _guard = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
     let graph = random_layered(3, &RandomGraphParams { tasks: 6, ..Default::default() });
     let arch = Architecture::new(Area::new(300), 64, Latency::from_us(1.0));
     let params = ExploreParams {
@@ -142,7 +142,7 @@ fn milp_trace_totals_match_solve_stats() {
 /// The structured backend's window stats also survive into the trace.
 #[test]
 fn structured_trace_totals_match_search_stats() {
-    let _guard = GUARD.lock().unwrap();
+    let _guard = GUARD.lock().unwrap_or_else(PoisonError::into_inner);
     let graph = dct_4x4();
     let arch = Architecture::new(Area::new(1024), 512, Latency::from_us(1.0));
     let part = TemporalPartitioner::new(&graph, &arch, deterministic_params()).expect("tasks fit");
