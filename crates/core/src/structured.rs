@@ -215,6 +215,16 @@ pub struct StructuredSolver<'g> {
     order: Vec<TaskId>,
     /// Design-point trial order per task (latency ascending).
     dp_order: Vec<Vec<usize>>,
+    /// Where each task's design points start in the flat tables below:
+    /// design point `m` of task `t` is entry `dp_base[t] + m`.
+    dp_base: Vec<usize>,
+    /// Area of each design point.
+    dp_area: Vec<u64>,
+    /// Latency of each design point in ns.
+    dp_latency_ns: Vec<f64>,
+    /// Secondary-class usage of each design point, `[design point][class]`
+    /// (empty when the architecture declares no secondary classes).
+    dp_secondary: Vec<u64>,
     /// Symmetry group of each task (same group ⇒ interchangeable); the
     /// predecessor of a task within its group in assignment order, if any.
     group_prev: Vec<Option<usize>>,
@@ -266,10 +276,11 @@ fn assert_thread_safe() {
 /// table per assignment level, keyed on the discrete part of a state's
 /// signature (the level itself is implicit). Each bucket stores, flat, the
 /// rows of up to [`MEMO_BUCKET_CAP`] states already explored to completion
-/// under its key. A row is `[proven, sum, dom…]`: `dom` is the float part
-/// (componentwise `≤` means "at least as good"), `sum` its sum in one
-/// fixed order, and `proven` the claim *"this state has no in-window
-/// completion with total latency `< proven − 1e-9`"*.
+/// under its key. A row is `[proven, lane sums…, dom…]`: `dom` is the
+/// float part (componentwise `≤` means "at least as good"), the
+/// [`MEMO_LANES`] lane sums its prefilter (see [`seal_row`]), and `proven`
+/// the claim *"this state has no in-window completion with total latency
+/// `< proven − 1e-9`"*.
 ///
 /// A state probes its level once on entry ([`MemoTable::probe`]) and
 /// inserts on exit with that probe ([`MemoTable::insert`]). The subtree
@@ -312,36 +323,63 @@ struct MemoProbe {
     covered: u32,
 }
 
-/// Multiplicative hash of a memo key (the FxHash step), deterministic
-/// across runs and platforms. The slot is taken from the high bits. Keys
-/// are search state (partition and design-point indices), not outside
-/// input, so an unkeyed hash is safe.
+/// Multiplicative hash of a memo key (the FxHash step, two key words per
+/// multiply), deterministic across runs and platforms. The slot is taken
+/// from the high bits. Keys are search state (partition and design-point
+/// indices), not outside input, so an unkeyed hash is safe.
 fn memo_hash(key: &[u32]) -> u64 {
-    key.iter()
-        .fold(0u64, |h, &k| (h.rotate_left(5) ^ u64::from(k)).wrapping_mul(0x517c_c1b7_2722_0a95))
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let mut pairs = key.chunks_exact(2);
+    let h = pairs.by_ref().fold(0, |h, w| step(h, u64::from(w[0]) | u64::from(w[1]) << 32));
+    pairs.remainder().iter().fold(h, |h, &k| step(h, u64::from(k)))
 }
 
-/// Componentwise `(a ≤ b, b ≤ a)` of two equally long rows `[_, sum, dom…]`.
-/// IEEE addition is monotone, so `a ≤ b` componentwise implies
-/// `Σa ≤ Σb` for one fixed summation order: a strict sum inequality rules
-/// one direction out before any component is read.
+/// Lane sums leading each memo row, after `proven`.
+const MEMO_LANES: usize = 4;
+
+/// Where a memo row's float part starts: after `proven` and the lane sums.
+const MEMO_DOM: usize = 1 + MEMO_LANES;
+
+/// Fills the lane sums of a memo row whose `proven` slot and float part
+/// are in place: lane `i` sums the float components `i, i + 4, i + 8, …`
+/// in that order. IEEE addition is monotone, so a row componentwise `≤`
+/// another has every lane sum `≤` the other's.
+fn seal_row(row: &mut [f64]) {
+    let (head, dom) = row.split_at_mut(MEMO_DOM);
+    let lanes = &mut head[1..];
+    lanes.fill(0.0);
+    for chunk in dom.chunks(MEMO_LANES) {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane += x;
+        }
+    }
+}
+
+/// Componentwise `(a ≤ b, b ≤ a)` of two equally long sealed rows. The
+/// lane sums are tested first: a lane of `a` above `b`'s rules out
+/// `a ≤ b` (and below, `b ≤ a`) before any component is read.
 #[inline]
 fn memo_compare(a: &[f64], b: &[f64]) -> (bool, bool) {
-    let (da, db) = (&a[2..], &b[2..]);
-    if a[1] < b[1] {
-        (da.iter().zip(db).all(|(x, y)| x <= y), false)
-    } else if a[1] > b[1] {
-        (false, db.iter().zip(da).all(|(x, y)| x <= y))
-    } else {
-        let (mut le, mut ge) = (true, true);
-        for (x, y) in da.iter().zip(db) {
-            le &= x <= y;
-            ge &= y <= x;
-            if !(le || ge) {
-                break;
+    let (mut le, mut ge) = (true, true);
+    for (x, y) in a[1..MEMO_DOM].iter().zip(&b[1..MEMO_DOM]) {
+        le &= x <= y;
+        ge &= y <= x;
+    }
+    let (da, db) = (&a[MEMO_DOM..], &b[MEMO_DOM..]);
+    match (le, ge) {
+        (false, false) => (false, false),
+        (true, false) => (da.iter().zip(db).all(|(x, y)| x <= y), false),
+        (false, true) => (false, db.iter().zip(da).all(|(x, y)| x <= y)),
+        (true, true) => {
+            for (x, y) in da.iter().zip(db) {
+                le &= x <= y;
+                ge &= y <= x;
+                if !(le || ge) {
+                    break;
+                }
             }
+            (le, ge)
         }
-        (le, ge)
     }
 }
 
@@ -524,7 +562,20 @@ struct Undo {
     old_d: f64,
     old_max: u32,
     old_chain_lb: f64,
-    touched_from: usize,
+}
+
+/// What every candidate of one state shares about its task's
+/// predecessors, found in one scan ([`StructuredSolver::pred_context`]).
+/// Every predecessor sits at a partition `≤ p_min` and every candidate has
+/// `p ≥ p_min`, so a candidate's same-partition chain is `chain_pmin` when
+/// `p == p_min` and nothing otherwise.
+struct PredContext {
+    /// The latest predecessor partition (1 without predecessors).
+    p_min: u32,
+    /// The longest chain ending at a predecessor in partition `p_min`.
+    chain_pmin: f64,
+    /// The longest assigned path ending at a predecessor.
+    gdepth_in: f64,
 }
 
 /// Result of [`StructuredSolver::check_and_apply`].
@@ -553,7 +604,7 @@ struct State<'s> {
     area_used: Vec<u64>,
     /// Secondary-resource usage, `[partition][class]` (empty when the
     /// architecture declares no secondary classes).
-    sec_used: Vec<Vec<u64>>,
+    sec_used: Vec<u64>,
     chain_ns: Vec<f64>,
     /// Longest whole-graph path ending at each assigned task, with chosen
     /// design-point latencies (all predecessors are assigned first).
@@ -571,8 +622,6 @@ struct State<'s> {
     best: Option<(f64, Vec<Placement>)>,
     nodes_exhausted: bool,
     start: Instant,
-    /// Memory-delta undo stack (frames delimited by [`Undo::touched_from`]).
-    touched: Vec<(usize, u64)>,
     /// Per-level candidate buffers, packed for one integer sort (see
     /// [`StructuredSolver::dfs`]).
     cand: Vec<Vec<u128>>,
@@ -765,6 +814,19 @@ impl<'g> StructuredSolver<'g> {
             })
             .collect();
 
+        let classes = arch.secondary_capacities().len();
+        let mut dp_base = Vec::with_capacity(count);
+        let (mut dp_area, mut dp_latency_ns, mut dp_secondary) =
+            (Vec::new(), Vec::new(), Vec::new());
+        for task in graph.tasks() {
+            dp_base.push(dp_area.len());
+            for dp in task.design_points() {
+                dp_area.push(dp.area().units());
+                dp_latency_ns.push(dp.latency().as_ns());
+                dp_secondary.extend((0..classes).map(|k| dp.secondary_usage(k)));
+            }
+        }
+
         let mut suffix_min_area = vec![0u64; count + 1];
         for i in (0..count).rev() {
             suffix_min_area[i] = suffix_min_area[i + 1] + min_area[order[i].index()];
@@ -829,6 +891,10 @@ impl<'g> StructuredSolver<'g> {
             limits,
             order,
             dp_order,
+            dp_base,
+            dp_area,
+            dp_latency_ns,
+            dp_secondary,
             group_prev,
             suffix_min_area,
             pred_edges,
@@ -923,7 +989,7 @@ impl<'g> StructuredSolver<'g> {
             part: vec![0; count],
             dpc: vec![0; count],
             area_used: vec![0; np],
-            sec_used: vec![vec![0; self.arch.secondary_capacities().len()]; np],
+            sec_used: vec![0; np * self.arch.secondary_capacities().len()],
             chain_ns: vec![0.0; count],
             gdepth_ns: vec![0.0; count],
             d_part_ns: vec![0.0; np],
@@ -936,7 +1002,6 @@ impl<'g> StructuredSolver<'g> {
             best,
             nodes_exhausted: true,
             start,
-            touched: Vec::new(),
             cand: vec![Vec::new(); count],
             memo: MemoTable::new(self.memo_limit, count),
             sigs: vec![MemoSig::default(); count],
@@ -1015,12 +1080,16 @@ impl<'g> StructuredSolver<'g> {
     }
 
     /// Builds the dominance signature of the current state at level `idx`
-    /// into `st.sigs[idx]`: the key is the discrete part, the row
-    /// `[proven, sum, dom…]` carries the float part (componentwise `≤` =
-    /// at-least-as-good) and its sum, with `proven` filled in at insert.
-    /// Only quantities a subtree below `idx` can observe participate: the
+    /// into `st.sigs[idx]`: the key is the discrete part, the sealed row
+    /// `[proven, lane sums…, dom…]` carries the float part (componentwise
+    /// `≤` = at-least-as-good), with `proven` filled in at insert. Only
+    /// quantities a subtree below `idx` can observe participate: the
     /// open-task scope's partitions and chains, the symmetry anchor, and
-    /// the per-partition loads. The admissible-bound inputs (`gdepth`,
+    /// the loads of the `max_part` opened partitions and of the boundaries
+    /// between them. The key holds `max_part`; under one key every later
+    /// partition is empty and every later boundary holds the same
+    /// level-wide host output, so those components are equal in every row
+    /// of a bucket and are left out. The admissible-bound inputs (`gdepth`,
     /// `chain_lb_max`) are deliberately excluded — they only tighten
     /// pruning, never completion totals.
     fn build_signature(&self, idx: usize, st: &mut State) {
@@ -1035,26 +1104,31 @@ impl<'g> StructuredSolver<'g> {
             None => sig.key.extend([0, 0]),
         }
         sig.key.extend(scope.iter().map(|&q| st.part[q]));
+        let opened = st.max_part as usize;
+        let classes = self.arch.secondary_capacities().len();
         sig.row.clear();
-        sig.row.extend([0.0, 0.0]);
-        sig.row.extend_from_slice(&st.d_part_ns);
-        sig.row.extend(st.area_used.iter().map(|&a| a as f64));
-        for per_partition in &st.sec_used {
-            sig.row.extend(per_partition.iter().map(|&u| u as f64));
-        }
-        sig.row.extend(st.mem.iter().map(|&m| m as f64));
+        sig.row.resize(MEMO_DOM, 0.0);
+        sig.row.extend_from_slice(&st.d_part_ns[..opened]);
+        sig.row.extend(st.area_used[..opened].iter().map(|&a| a as f64));
+        sig.row.extend(st.sec_used[..opened * classes].iter().map(|&u| u as f64));
+        sig.row.extend(st.mem[..opened.saturating_sub(1)].iter().map(|&m| m as f64));
         sig.row.extend(scope.iter().map(|&q| st.chain_ns[q]));
-        // Four running sums break the dependency chain of one; any fixed
-        // order serves `memo_compare`'s monotonicity argument.
-        let mut lanes = [0.0f64; 4];
-        let dom = sig.row[2..].chunks_exact(4);
-        let tail = dom.remainder().iter().fold(0.0, |sum, &x| sum + x);
-        for c in dom {
-            for (lane, &x) in lanes.iter_mut().zip(c) {
-                *lane += x;
+        seal_row(&mut sig.row);
+    }
+
+    /// The [`PredContext`] of task `ti` in the current state.
+    fn pred_context(&self, ti: usize, st: &State) -> PredContext {
+        let mut ctx = PredContext { p_min: 1, chain_pmin: 0.0, gdepth_in: 0.0 };
+        for &(q, _) in &self.pred_edges[ti] {
+            let pq = st.part[q];
+            if pq > ctx.p_min {
+                (ctx.p_min, ctx.chain_pmin) = (pq, st.chain_ns[q]);
+            } else if pq == ctx.p_min {
+                ctx.chain_pmin = ctx.chain_pmin.max(st.chain_ns[q]);
             }
+            ctx.gdepth_in = ctx.gdepth_in.max(st.gdepth_ns[q]);
         }
-        sig.row[1] = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail;
+        ctx
     }
 
     /// Returns `true` to abort the whole search (first-feasible found, or a
@@ -1126,21 +1200,11 @@ impl<'g> StructuredSolver<'g> {
             None
         };
 
-        let t = self.order[idx];
-        let ti = t.index();
-        let task = &self.graph.tasks()[ti];
-        // The latest predecessor partition, and the longest chain ending
-        // there: only that partition can chain with predecessors (every
-        // predecessor lives at a partition `≤ p_min`).
-        let (mut p_min, mut chain_pmin) = (1, 0.0f64);
-        for &(q, _) in &self.pred_edges[ti] {
-            let pq = st.part[q];
-            if pq > p_min {
-                (p_min, chain_pmin) = (pq, st.chain_ns[q]);
-            } else if pq == p_min {
-                chain_pmin = chain_pmin.max(st.chain_ns[q]);
-            }
-        }
+        let ti = self.order[idx].index();
+        // One scan of the predecessors serves every candidate below; only
+        // the `p_min` partition can chain with them.
+        let ctx = self.pred_context(ti, st);
+        let p_min = ctx.p_min;
         // Symmetry breaking: within an interchangeable group, (partition,
         // design point) must be lexicographically non-decreasing.
         let sym_floor = self.group_prev[ti].map(|prev| (st.part[prev], st.dpc[prev]));
@@ -1155,14 +1219,14 @@ impl<'g> StructuredSolver<'g> {
             .filter(|&(p, m)| {
                 p >= p_min
                     && p <= self.n
-                    && m < task.design_points().len()
+                    && m < self.dp_order[ti].len()
                     && match sym_floor {
                         Some((sp, sm)) => p > sp || (p == sp && m >= sm),
                         None => true,
                     }
             });
         if let Some((p, m)) = hint_pair {
-            if let Some(abort) = self.try_candidate(idx, t, p, m, st) {
+            if let Some(abort) = self.try_candidate(idx, p, m, &ctx, st) {
                 if abort {
                     return true;
                 }
@@ -1181,6 +1245,7 @@ impl<'g> StructuredSolver<'g> {
         // by key, then enumeration.
         let mut cand = std::mem::take(&mut st.cand[idx]);
         cand.clear();
+        let latency_ns = &self.dp_latency_ns[self.dp_base[ti]..];
         for p in p_min..=self.n {
             let pi = (p - 1) as usize;
             for (k, &m) in self.dp_order[ti].iter().enumerate() {
@@ -1192,9 +1257,8 @@ impl<'g> StructuredSolver<'g> {
                         continue;
                     }
                 }
-                let dp = &task.design_points()[m];
-                let base = if p == p_min { chain_pmin } else { 0.0 };
-                let delta_d = st.d_part_ns[pi].max(base + dp.latency().as_ns()) - st.d_part_ns[pi];
+                let base = if p == p_min { ctx.chain_pmin } else { 0.0 };
+                let delta_d = st.d_part_ns[pi].max(base + latency_ns[m]) - st.d_part_ns[pi];
                 let eta_delta = f64::from(p.max(st.max_part) - st.max_part);
                 let key = (delta_d + self.ct_ns() * eta_delta).to_bits();
                 cand.push(u128::from(key) << 64 | u128::from(p) << 32 | k as u128);
@@ -1204,7 +1268,7 @@ impl<'g> StructuredSolver<'g> {
         let mut aborted = false;
         for &c in &cand {
             let (p, k) = ((c >> 32) as u32, c as u32 as usize);
-            if let Some(true) = self.try_candidate(idx, t, p, self.dp_order[ti][k], st) {
+            if let Some(true) = self.try_candidate(idx, p, self.dp_order[ti][k], &ctx, st) {
                 aborted = true;
                 break;
             }
@@ -1273,20 +1337,21 @@ impl<'g> StructuredSolver<'g> {
         false
     }
 
-    /// Checks task `t` on `(p, m)` against every constraint and bound and,
-    /// if it survives, applies the assignment. `charge` is `false` only
-    /// when a job replays its prefix, which generation already charged.
+    /// Checks the task at level `idx` on `(p, m)` against every constraint
+    /// and bound and, if it survives, applies the assignment. `ctx` is the
+    /// task's [`PredContext`] in the current state. `charge` is `false`
+    /// only when a job replays its prefix, which generation already
+    /// charged.
     fn check_and_apply(
         &self,
         idx: usize,
-        t: TaskId,
         p: u32,
         m: usize,
+        ctx: &PredContext,
         st: &mut State,
         charge: bool,
     ) -> Step {
-        let ti = t.index();
-        let task = &self.graph.tasks()[ti];
+        let ti = self.order[idx].index();
         let pi = (p - 1) as usize;
         if charge {
             if self.charge_node(st) {
@@ -1295,47 +1360,37 @@ impl<'g> StructuredSolver<'g> {
             st.stats.nodes_by_depth[self.depth_bucket(idx)] += 1;
         }
 
-        let dp = &task.design_points()[m];
+        let d = self.dp_base[ti] + m;
+        let (area, latency) = (self.dp_area[d], self.dp_latency_ns[d]);
+        let cap = self.arch.resource_capacity().units();
         // Resource.
-        if st.area_used[pi] + dp.area().units() > self.arch.resource_capacity().units() {
+        if st.area_used[pi] + area > cap {
             return Step::Rejected;
         }
         // Secondary resource classes (constraint (6) per class).
-        if self
-            .arch
-            .secondary_capacities()
-            .iter()
-            .enumerate()
-            .any(|(k, &cap)| st.sec_used[pi][k] + dp.secondary_usage(k) > cap)
-        {
+        let capacities = self.arch.secondary_capacities();
+        let classes = capacities.len();
+        let usage = &self.dp_secondary[d * classes..(d + 1) * classes];
+        let used = &st.sec_used[pi * classes..(pi + 1) * classes];
+        if used.iter().zip(usage).zip(capacities).any(|((&u, &x), &c)| u + x > c) {
             return Step::Rejected;
         }
         // Area look-ahead: remaining minimum areas (excluding t) must
         // fit in the total free area.
-        let cap = self.arch.resource_capacity().units();
         // `total_area` is the sum of `area_used`; wrapping arithmetic
         // yields `Σ_q (cap − used_q) − area` exactly, as that never
         // underflows.
-        let free_total = u64::from(self.n)
-            .wrapping_mul(cap)
-            .wrapping_sub(st.total_area)
-            .wrapping_sub(dp.area().units());
+        let free_total =
+            u64::from(self.n).wrapping_mul(cap).wrapping_sub(st.total_area).wrapping_sub(area);
         if self.suffix_min_area[idx + 1] > free_total {
             st.stats.area_prunes += 1;
             st.stats.prunes_by_depth[self.depth_bucket(idx)] += 1;
             return Step::Rejected;
         }
 
-        // Latency bookkeeping: one pass over the predecessors yields the
-        // longest same-partition chain and the longest assigned path.
-        let (mut chain_in, mut gdepth_in) = (0.0f64, 0.0f64);
-        for &(q, _) in &self.pred_edges[ti] {
-            if st.part[q] == p {
-                chain_in = chain_in.max(st.chain_ns[q]);
-            }
-            gdepth_in = gdepth_in.max(st.gdepth_ns[q]);
-        }
-        let chain = dp.latency().as_ns() + chain_in;
+        // Latency bookkeeping from the state's one predecessor scan.
+        let chain_in = if p == ctx.p_min { ctx.chain_pmin } else { 0.0 };
+        let chain = latency + chain_in;
         let new_d = st.d_part_ns[pi].max(chain);
         let delta_d = new_d - st.d_part_ns[pi];
         let new_sum = st.sum_d_ns + delta_d;
@@ -1343,13 +1398,13 @@ impl<'g> StructuredSolver<'g> {
         // Admissible chain bound: the longest assigned-latency path ending
         // at t plus the cheapest possible completion below it; tracked as a
         // running max because it is monotone along a path.
-        let gdepth = dp.latency().as_ns() + gdepth_in;
+        let gdepth = latency + ctx.gdepth_in;
         let chain_track = st.chain_lb_max.max(gdepth + self.tail_after_ns[ti]);
         // η lower bound: partitions already opened, or however many the
         // committed area plus the cheapest remaining areas must occupy.
         // (The division only runs when the area floor can exceed the
         // partitions already opened.)
-        let area_floor = st.total_area + dp.area().units() + self.suffix_min_area[idx + 1];
+        let area_floor = st.total_area + area + self.suffix_min_area[idx + 1];
         let eta_lb = if area_floor <= u64::from(new_max_part).saturating_mul(cap) {
             new_max_part
         } else {
@@ -1381,69 +1436,26 @@ impl<'g> StructuredSolver<'g> {
             }
         }
 
-        // Memory: apply deltas, tracking what we touched for undo.
-        let touched_from = st.touched.len();
-        let mut mem_ok = true;
-        {
-            let add = |boundary: u32, amount: u64, st: &mut State| {
-                if amount == 0 {
-                    return true;
-                }
-                let i = (boundary - 2) as usize;
-                st.mem[i] += amount;
-                st.touched.push((i, amount));
-                st.mem[i] <= self.arch.memory_capacity()
-            };
-            'mem: {
-                for &(q, data) in &self.pred_edges[ti] {
-                    let pa = st.part[q];
-                    if pa < p {
-                        for b in (pa + 1)..=p {
-                            if !add(b, data, st) {
-                                mem_ok = false;
-                                break 'mem;
-                            }
-                        }
-                    }
-                }
-                if self.arch.env_policy() == EnvMemoryPolicy::Resident {
-                    // `add` ignores zero amounts, so a task without host
-                    // I/O skips its boundary loops.
-                    if task.env_input() > 0 {
-                        for b in 2..=p {
-                            if !add(b, task.env_input(), st) {
-                                mem_ok = false;
-                                break 'mem;
-                            }
-                        }
-                    }
-                    if task.env_output() > 0 {
-                        for b in (p + 1)..=self.n {
-                            if !add(b, task.env_output(), st) {
-                                mem_ok = false;
-                                break 'mem;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !mem_ok {
+        // Memory: add every charge, and walk them back on a rejection.
+        let mem_cap = self.arch.memory_capacity();
+        let mut fits = true;
+        self.for_each_charge(ti, p, &st.part, |i, amount| {
+            st.mem[i] += amount;
+            fits &= st.mem[i] <= mem_cap;
+        });
+        if !fits {
+            self.for_each_charge(ti, p, &st.part, |i, amount| st.mem[i] -= amount);
             st.stats.memory_rejects += 1;
             st.stats.prunes_by_depth[self.depth_bucket(idx)] += 1;
-            while st.touched.len() > touched_from {
-                let Some((i, amount)) = st.touched.pop() else { break };
-                st.mem[i] -= amount;
-            }
             return Step::Rejected;
         }
 
         // Apply.
         st.part[ti] = p;
         st.dpc[ti] = m;
-        st.area_used[pi] += dp.area().units();
-        for (k, used) in st.sec_used[pi].iter_mut().enumerate() {
-            *used += dp.secondary_usage(k);
+        st.area_used[pi] += area;
+        for (u, &x) in st.sec_used[pi * classes..(pi + 1) * classes].iter_mut().zip(usage) {
+            *u += x;
         }
         st.chain_ns[ti] = chain;
         st.gdepth_ns[ti] = gdepth;
@@ -1454,18 +1466,47 @@ impl<'g> StructuredSolver<'g> {
         st.max_part = new_max_part;
         let old_chain_lb = st.chain_lb_max;
         st.chain_lb_max = chain_track;
-        st.total_area += dp.area().units();
-        Step::Applied(Undo { ti, pi, m, delta_d, old_d, old_max, old_chain_lb, touched_from })
+        st.total_area += area;
+        Step::Applied(Undo { ti, pi, m, delta_d, old_d, old_max, old_chain_lb })
+    }
+
+    /// Visits the boundary memory charges of task `ti` on partition `p`,
+    /// as `(mem index, amount)`, in one fixed order: each predecessor's
+    /// data on every boundary between its partition and `p`, then, with
+    /// host I/O resident on the board, the task's input on every boundary
+    /// before `p` and its output on every boundary after. It reads only the
+    /// predecessors' partitions, which stay put while `ti` is assigned, so
+    /// a later walk visits exactly the charges an earlier one made.
+    fn for_each_charge(&self, ti: usize, p: u32, part: &[u32], mut charge: impl FnMut(usize, u64)) {
+        // Boundary `b`, between partitions `b − 1` and `b`, is `mem[b − 2]`.
+        let mut boundaries = |from: u32, to: u32, amount: u64| {
+            if amount > 0 {
+                for b in from..=to {
+                    charge((b - 2) as usize, amount);
+                }
+            }
+        };
+        for &(q, data) in &self.pred_edges[ti] {
+            boundaries(part[q] + 1, p, data);
+        }
+        if self.arch.env_policy() == EnvMemoryPolicy::Resident {
+            let task = &self.graph.tasks()[ti];
+            boundaries(2, p, task.env_input());
+            boundaries(p + 1, self.n, task.env_output());
+        }
     }
 
     /// Reverses one [`Step::Applied`] assignment.
     fn undo_step(&self, u: Undo, st: &mut State) {
-        let dp = &self.graph.tasks()[u.ti].design_points()[u.m];
+        let d = self.dp_base[u.ti] + u.m;
+        let classes = self.arch.secondary_capacities().len();
+        self.for_each_charge(u.ti, u.pi as u32 + 1, &st.part, |i, amount| st.mem[i] -= amount);
         st.part[u.ti] = 0;
         st.dpc[u.ti] = 0;
-        st.area_used[u.pi] -= dp.area().units();
-        for (k, used) in st.sec_used[u.pi].iter_mut().enumerate() {
-            *used -= dp.secondary_usage(k);
+        st.area_used[u.pi] -= self.dp_area[d];
+        let usage = &self.dp_secondary[d * classes..(d + 1) * classes];
+        for (used, &x) in st.sec_used[u.pi * classes..(u.pi + 1) * classes].iter_mut().zip(usage) {
+            *used -= x;
         }
         st.chain_ns[u.ti] = 0.0;
         st.gdepth_ns[u.ti] = 0.0;
@@ -1473,25 +1514,21 @@ impl<'g> StructuredSolver<'g> {
         st.sum_d_ns -= u.delta_d;
         st.max_part = u.old_max;
         st.chain_lb_max = u.old_chain_lb;
-        st.total_area -= dp.area().units();
-        while st.touched.len() > u.touched_from {
-            let Some((i, amount)) = st.touched.pop() else { break };
-            st.mem[i] -= amount;
-        }
+        st.total_area -= self.dp_area[d];
     }
 
-    /// Tries assigning task `t` to `(p, m)`. Returns `None` if the
-    /// candidate was rejected by a constraint or prune, `Some(abort)` after
-    /// descending.
+    /// Tries assigning the task at level `idx` to `(p, m)`. Returns `None`
+    /// if the candidate was rejected by a constraint or prune,
+    /// `Some(abort)` after descending.
     fn try_candidate(
         &self,
         idx: usize,
-        t: TaskId,
         p: u32,
         m: usize,
+        ctx: &PredContext,
         st: &mut State,
     ) -> Option<bool> {
-        match self.check_and_apply(idx, t, p, m, st, true) {
+        match self.check_and_apply(idx, p, m, ctx, st, true) {
             Step::Rejected => None,
             Step::Abort => Some(true),
             Step::Applied(u) => {
@@ -1637,8 +1674,8 @@ impl<'g> StructuredSolver<'g> {
                     // Replaying the prefix can legitimately be rejected
                     // now: a better incumbent may have arrived since
                     // generation, pruning the whole subtree.
-                    match self.check_and_apply(lvl, self.order[lvl], p, m as usize, &mut st, false)
-                    {
+                    let ctx = self.pred_context(self.order[lvl].index(), &st);
+                    match self.check_and_apply(lvl, p, m as usize, &ctx, &mut st, false) {
                         Step::Applied(u) => undos.push(u),
                         _ => {
                             pruned = true;
@@ -2052,7 +2089,7 @@ mod tests {
         // Two-valued key words make a small key set; three-valued loads
         // make dominance ties common.
         let key_len = |level: usize| 1 + level % 3;
-        let row_len = |level: usize| 2 + 3 + level % 2;
+        let row_len = |level: usize| MEMO_DOM + 3 + level % 2;
         let bounds = [1.0, 2.0, 2.0, 3.0, f64::INFINITY];
         let pick = |rng: &mut Rng| bounds[rng.range_usize(0, bounds.len() - 1)];
         let full_key = |level: usize, key: &[u32]| {
@@ -2075,9 +2112,10 @@ mod tests {
                         (0..key_len(level)).map(|_| rng.range_u64(0, 1) as u32).collect();
                     let mut row: Vec<f64> =
                         (0..row_len(level)).map(|_| rng.range_u64(0, 2) as f64).collect();
-                    row[1] = row[2..].iter().fold(0.0, |sum, &x| sum + x);
+                    seal_row(&mut row);
                     let best_now = pick(&mut rng);
-                    let pruned = reference.dominated(&full_key(level, &key), &row[2..], best_now);
+                    let pruned =
+                        reference.dominated(&full_key(level, &key), &row[MEMO_DOM..], best_now);
                     let probe = memo.probe(level, &key, &row, best_now);
                     assert_eq!(probe.is_none(), pruned, "seed {seed} step {step}: prune answer");
                     match probe {
@@ -2086,7 +2124,7 @@ mod tests {
                     }
                 } else if let Some((level, key, mut row, probe)) = open.pop() {
                     let proven = pick(&mut rng);
-                    reference.insert(full_key(level, &key), row[2..].to_vec(), proven);
+                    reference.insert(full_key(level, &key), row[MEMO_DOM..].to_vec(), proven);
                     memo.insert(level, &probe, &key, &mut row, proven);
                     assert_eq!(memo.entries, reference.entries, "seed {seed} step {step}: entries");
                     full_buckets +=
@@ -2098,7 +2136,8 @@ mod tests {
             for (level, lvl) in memo.levels.iter().enumerate() {
                 let (kl, width) = (key_len(level), row_len(level));
                 for (b, rows) in lvl.rows.iter().enumerate() {
-                    let rows = rows.chunks_exact(width).map(|r| (r[2..].to_vec(), r[0])).collect();
+                    let rows =
+                        rows.chunks_exact(width).map(|r| (r[MEMO_DOM..].to_vec(), r[0])).collect();
                     stored.push((full_key(level, &lvl.keys[b * kl..(b + 1) * kl]), rows));
                 }
             }
@@ -2120,6 +2159,32 @@ mod tests {
                 assert!(at_limit > 0, "seed {seed}: the entry limit was never reached");
             }
         }
+    }
+
+    /// The lane prefilter never changes an answer: on random sealed rows
+    /// with heavy ties, [`memo_compare`] equals the plain componentwise
+    /// comparison in both directions.
+    #[test]
+    fn memo_compare_is_the_componentwise_answer() {
+        use rtr_workloads::rng::Rng;
+        let mut rng = Rng::new(5);
+        let le =
+            |a: &[f64], b: &[f64]| a[MEMO_DOM..].iter().zip(&b[MEMO_DOM..]).all(|(x, y)| x <= y);
+        let mut seen = [[0usize; 2]; 2];
+        for _ in 0..20_000 {
+            let width = MEMO_DOM + rng.range_usize(0, 9);
+            let mut row = || {
+                let mut row: Vec<f64> = (0..width).map(|_| rng.range_u64(0, 2) as f64).collect();
+                seal_row(&mut row);
+                row
+            };
+            let (a, b) = (row(), row());
+            let expected = (le(&a, &b), le(&b, &a));
+            assert_eq!(memo_compare(&a, &b), expected, "{a:?} vs {b:?}");
+            assert_eq!(memo_compare(&b, &a), (expected.1, expected.0), "{b:?} vs {a:?}");
+            seen[usize::from(expected.0)][usize::from(expected.1)] += 1;
+        }
+        assert!(seen.iter().flatten().all(|&n| n > 0), "an answer never occurred: {seen:?}");
     }
 
     #[test]

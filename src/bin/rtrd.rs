@@ -98,11 +98,9 @@ fn run(args: &[String]) -> Result<(), String> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    // Idle loop: the accept thread and workers do the serving; the main
-    // thread only watches for the SIGTERM latch.
-    while !rtrd::signal::sigterm_received() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    // The accept thread and workers do the serving; the main thread only
+    // waits for SIGTERM.
+    rtrd::signal::wait_for_sigterm();
     println!("rtrd: SIGTERM received; draining");
     server.drain();
     server.wait_idle(Duration::from_secs(3600));
